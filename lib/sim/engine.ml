@@ -23,19 +23,10 @@ type outcome = {
   events : int;
 }
 
-type _ Effect.t +=
-  | E_access : Line.t * access -> unit Effect.t
-  | E_await : Line.t * bool * (unit -> bool) -> unit Effect.t
-  | E_await_until : Line.t * bool * (unit -> bool) * int -> bool Effect.t
-  | E_fence : unit Effect.t
-  | E_pause : unit Effect.t
-  | E_work : int -> unit Effect.t
-  | E_sleep : int -> unit Effect.t
-  | E_now : int Effect.t
-  | E_cs_mark : bool -> unit Effect.t
-  | E_running : bool Effect.t
-  | E_tid : int Effect.t
-  | E_cpu : int Effect.t
+(* The single effect: the running thread gives up the CPU. Its
+   continuation lands in its thread record; whoever holds the thread
+   (event queue, watcher chain) resumes it from there. *)
+type _ Effect.t += Park : unit Effect.t
 
 type thread = {
   t_id : int;
@@ -43,6 +34,9 @@ type thread = {
   mutable time : int;
   mutable ops : int; (* atomic operations performed (fault anchors) *)
   mutable in_cs : bool; (* between cs_mark true/false (fault anchor) *)
+  mutable k : (unit, unit) Effect.Deep.continuation option; (* parked *)
+  mutable woke : bool; (* timed await: woken (true) or timed out *)
+  resume : unit -> unit; (* this thread's event-queue payload *)
 }
 
 (* Watchers form an intrusive chain threaded through [Line.waiters]
@@ -56,7 +50,6 @@ type watcher = {
   w_pred : unit -> bool;
   w_rmw : bool;
   mutable w_done : bool; (* resumed (wake or timeout); entry is stale *)
-  w_continue : bool -> unit; (* true = pred holds, false = timed out *)
   mutable w_next : Line.waiters;
 }
 
@@ -69,7 +62,9 @@ type state = {
   costs : Arch.t;
   tcost : int array; (* transfer cost by proximity rank *)
   duration : int;
+  cap : int; (* livelock cutoff on [max_time] *)
   q : (unit -> unit) Pqueue.t;
+  mutable cur : thread; (* the running thread *)
   cpus : cpu_state array;
   mutable watched : Line.t list; (* lines that ever had a watcher *)
   mutable live : int;
@@ -81,19 +76,26 @@ type state = {
   mutable crashed : int list;
 }
 
-(* Charge [cost] ns to [th], serializing green threads that share a CPU
-   and charging a context switch when the CPU changes thread. *)
-let advance st th cost =
+(* Clocks use [Int.max] throughout: the polymorphic [max] is a C
+   compare call per use, several per event. *)
+
+(* Charge [cost] ns to [th], starting no earlier than [after],
+   serializing green threads that share a CPU and charging a context
+   switch when the CPU changes thread. *)
+let advance_after st th ~after cost =
   let c = st.cpus.(th.t_cpu) in
-  let start = max th.time c.busy_until in
+  let start = Int.max th.time c.busy_until in
   let start =
     if c.last <> th.t_id && c.last <> -1 then start + st.costs.ctx_switch
     else start
   in
-  th.time <- start + cost;
+  th.time <- Int.max start after + cost;
   c.busy_until <- th.time;
   c.last <- th.t_id;
   if th.time > st.max_time then st.max_time <- th.time
+
+(* clocks are never negative *)
+let advance st th cost = advance_after st th ~after:0 cost
 
 (* Like [advance] but for an access that misses in the local cache:
    coherence transactions on one line are serviced one at a time, so the
@@ -101,18 +103,8 @@ let advance st th cost =
 let advance_on_line st th (line : Line.t) ~miss cost =
   if not miss then advance st th cost
   else begin
-    let c = st.cpus.(th.t_cpu) in
-    let start = max th.time c.busy_until in
-    let start =
-      if c.last <> th.t_id && c.last <> -1 then start + st.costs.ctx_switch
-      else start
-    in
-    let start = max start line.busy_until in
-    th.time <- start + cost;
-    c.busy_until <- th.time;
-    c.last <- th.t_id;
-    line.busy_until <- th.time;
-    if th.time > st.max_time then st.max_time <- th.time
+    advance_after st th ~after:line.busy_until cost;
+    line.busy_until <- th.time
   end
 
 let rank_same_system = Level.prox_rank Level.Same_system
@@ -211,26 +203,26 @@ let record_fault st th kind =
     { i_tid = th.t_id; i_op = th.ops; i_time = th.time; i_kind = kind }
     :: st.injected
 
-(* Returns [`Crash] when the thread must die at this op. Consumes every
+(* Returns [true] when the thread must die at this op. Consumes every
    fault that matches (thread, op index). *)
 let check_faults st th =
   match st.pending_faults with
-  | [] -> `Run
+  | [] -> false
   | faults ->
-      let verdict = ref `Run in
+      let dies = ref false in
       let remaining =
         List.filter
           (fun f ->
             match f with
             | Stall { tid; at_op; ns } when tid = th.t_id && at_op = th.ops
               ->
-                th.time <- th.time + max 0 ns;
+                th.time <- th.time + Int.max 0 ns;
                 if th.time > st.max_time then st.max_time <- th.time;
                 record_fault st th "stall";
                 false
             | Crash { tid; at_op } when tid = th.t_id && at_op = th.ops ->
                 record_fault st th "crash";
-                verdict := `Crash;
+                dies := true;
                 false
             | Crash_in_cs { tid; after_op }
               when tid = th.t_id && th.ops >= after_op && th.in_cs ->
@@ -238,80 +230,83 @@ let check_faults st th =
                    anchor that lands inside a marked critical section,
                    so the victim deterministically dies holding *)
                 record_fault st th "crash-in-cs";
-                verdict := `Crash;
+                dies := true;
                 false
             | Stall _ | Crash _ | Crash_in_cs _ -> true)
           faults
       in
       st.pending_faults <- remaining;
-      !verdict
+      !dies
 
-(* The thread dies here: its continuation is dropped, never resumed. *)
+(* The thread dies here: it parks with nothing left to resume it, so
+   its continuation is dropped. *)
 let kill st th =
   st.live <- st.live - 1;
-  st.crashed <- th.t_id :: st.crashed
+  st.crashed <- th.t_id :: st.crashed;
+  Effect.perform Park
 
-(* Register a watcher at the head of the line's chain; the line joins
-   the state's watched list the first time (end-of-run blocked scan and
-   cleanup walk that list). *)
-let add_watcher st (line : Line.t) w =
+(* Register [th] as a watcher at the head of the line's chain; the
+   line joins the state's watched list the first time (end-of-run
+   blocked scan and cleanup walk that list). *)
+let watch st th (line : Line.t) ~rmw pred =
+  if rmw then line.rmw_watchers <- line.rmw_watchers + 1;
   if not line.enlisted then begin
     line.enlisted <- true;
     st.watched <- line :: st.watched
   end;
-  w.w_next <- line.waiters;
-  line.waiters <- Watcher w
+  let w =
+    { w_thread = th; w_line = line; w_pred = pred; w_rmw = rmw;
+      w_done = false; w_next = line.waiters }
+  in
+  line.waiters <- Watcher w;
+  w
+
+(* A live watcher of [line] refetches it after [writer]'s write, at
+   its slot in the line's service window. When its predicate now holds
+   it is queued to resume at that slot; returns whether it woke. *)
+let refetch st (line : Line.t) writer w =
+  let d = Topology.proximity_rank st.topo writer.t_cpu w.w_thread.t_cpu in
+  count_transfer st d;
+  let slot =
+    Int.max writer.time line.busy_until + Array.unsafe_get st.tcost d
+  in
+  line.busy_until <- slot;
+  if not w.w_rmw then Cpuset.add line.sharers w.w_thread.t_cpu;
+  if w.w_pred () then begin
+    w.w_done <- true;
+    if w.w_rmw then line.rmw_watchers <- line.rmw_watchers - 1;
+    if slot > w.w_thread.time then w.w_thread.time <- slot;
+    if w.w_thread.time > st.max_time then st.max_time <- w.w_thread.time;
+    w.w_thread.woke <- true;
+    Pqueue.add st.q w.w_thread.time w.w_thread.resume;
+    true
+  end
+  else false
 
 (* After [writer] wrote to [line]: every watcher lost its copy and
    refetches the line, one at a time through the line's service window —
    k spinners cause k serialized refetches per write, the physics behind
-   the collapse of global-spinning locks. Watchers whose predicate now
-   holds resume at their refetch slot; those are unlinked in place
-   (stale timed-out entries too), kept watchers are untouched. *)
+   the collapse of global-spinning locks. Woken watchers and stale
+   (timed-out) entries are unlinked in place, kept watchers are
+   untouched. *)
+let rec wake_from st (line : Line.t) writer prev cur =
+  match cur with
+  | Line.No_waiters -> ()
+  | Watcher w ->
+      let next = w.w_next in
+      if w.w_done || refetch st line writer w then begin
+        (match prev with
+        | Line.No_waiters -> line.waiters <- next
+        | Watcher p -> p.w_next <- next
+        | _ -> assert false);
+        w.w_next <- Line.No_waiters;
+        wake_from st line writer prev next
+      end
+      else wake_from st line writer cur next
+  | _ -> assert false
+
 let wake_watchers st (line : Line.t) writer =
-  let unlink prev next =
-    match prev with
-    | Line.No_waiters -> line.waiters <- next
-    | Watcher p -> p.w_next <- next
-    | _ -> assert false
-  in
-  let rec go prev cur =
-    match cur with
-    | Line.No_waiters -> ()
-    | Watcher w ->
-        let next = w.w_next in
-        if w.w_done then begin
-          (* already timed out; drop the stale entry *)
-          unlink prev next;
-          w.w_next <- Line.No_waiters;
-          go prev next
-        end
-        else begin
-          let d =
-            Topology.proximity_rank st.topo writer.t_cpu w.w_thread.t_cpu
-          in
-          count_transfer st d;
-          let slot =
-            max writer.time line.busy_until + Array.unsafe_get st.tcost d
-          in
-          line.busy_until <- slot;
-          if not w.w_rmw then Cpuset.add line.sharers w.w_thread.t_cpu;
-          if w.w_pred () then begin
-            w.w_done <- true;
-            if w.w_rmw then line.rmw_watchers <- line.rmw_watchers - 1;
-            if slot > w.w_thread.time then w.w_thread.time <- slot;
-            if w.w_thread.time > st.max_time then
-              st.max_time <- w.w_thread.time;
-            Pqueue.add st.q w.w_thread.time (fun () -> w.w_continue true);
-            unlink prev next;
-            w.w_next <- Line.No_waiters;
-            go prev next
-          end
-          else go cur next
-        end
-    | _ -> assert false
-  in
-  go Line.No_waiters line.waiters
+  wake_from st line writer Line.No_waiters line.waiters
 
 (* Deadline event for a timed watcher: if the wake did not beat the
    clock, resume the thread with [false] at exactly [deadline]. The
@@ -322,7 +317,8 @@ let fire_timeout st w deadline =
     if w.w_rmw then w.w_line.rmw_watchers <- w.w_line.rmw_watchers - 1;
     if deadline > w.w_thread.time then w.w_thread.time <- deadline;
     if w.w_thread.time > st.max_time then st.max_time <- w.w_thread.time;
-    w.w_continue false
+    w.w_thread.woke <- false;
+    w.w_thread.resume ()
   end
 
 let handle_access st th line acc =
@@ -342,153 +338,64 @@ let handle_access st th line acc =
   in
   advance_on_line st th line ~miss cost;
   if occupancy > 0 then
-    line.busy_until <- max line.busy_until th.time + occupancy;
+    line.busy_until <- Int.max line.busy_until th.time + occupancy;
   match acc with
   | Store _ | Rmw { wrote = true } -> wake_watchers st line th
   | Load | Rmw { wrote = false } -> ()
 
 (* One simulation per domain at a time. Domain-local (not a global
    ref) so independent simulations can run concurrently on separate
-   domains — the work-pool parallelism of the benchmark harness. All
-   other engine state is threaded through [st] by the effect
-   handlers; this key only backs the re-entrancy guard. *)
+   domains — the work-pool parallelism of the benchmark harness. The
+   operations below reach the engine state and the running thread
+   through this key. *)
 let instance : state option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
+let current () =
+  match Domain.DLS.get instance with
+  | Some st -> st
+  | None -> invalid_arg "Engine: called outside a simulation"
+
+(* [st.cur] before the first event runs *)
+let no_thread =
+  { t_id = -1; t_cpu = 0; time = 0; ops = 0; in_cs = false; k = None;
+    woke = false; resume = ignore }
+
+(* A parked thread's event: make it the running thread and continue
+   it where it parked. *)
+let continue_thread st th =
+  st.cur <- th;
+  Effect.Deep.continue (Option.get th.k) ()
+
+(* The running thread finished an op at [th.time]. When it is strictly
+   earlier than every queued entry (on a tie the older entry pops
+   first) and the run is under the livelock cutoff, the drain loop
+   would pop exactly this thread next: count the event and keep going
+   inline. Otherwise queue the thread and park. *)
+let resume_later st th =
+  if
+    (Pqueue.is_empty st.q || th.time < Pqueue.min_prio st.q)
+    && st.max_time <= st.cap
+  then st.events <- st.events + 1
+  else begin
+    Pqueue.add st.q th.time th.resume;
+    Effect.perform Park
+  end
+
+(* The thread's one handler, installed when it first runs: parking
+   stores the continuation in the thread record and returns to the
+   drain loop. *)
 let spawn st th body =
-  let resume_later k = Pqueue.add st.q th.time (fun () -> k ()) in
+  let park = Some (fun k -> th.k <- Some k) in
+  st.cur <- th;
   Effect.Deep.match_with body th.t_id
     {
       retc = (fun () -> st.live <- st.live - 1);
-      exnc = (fun e -> raise e);
+      exnc = raise;
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | E_access (line, acc) ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  th.ops <- th.ops + 1;
-                  match check_faults st th with
-                  | `Crash ->
-                      (* the faulted op itself completes — sim_mem has
-                         already made the value visible, so watchers
-                         must still be woken — and the thread dies at
-                         the op boundary, never resumed *)
-                      handle_access st th line acc;
-                      kill st th
-                  | `Run ->
-                      handle_access st th line acc;
-                      resume_later (fun () -> Effect.Deep.continue k ()))
-          | E_await (line, rmw, pred) ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  th.ops <- th.ops + 1;
-                  match check_faults st th with
-                  | `Crash -> kill st th
-                  | `Run ->
-                      let cost, miss = read_cost st th line in
-                      advance_on_line st th line ~miss cost;
-                      if pred () then
-                        resume_later (fun () -> Effect.Deep.continue k ())
-                      else begin
-                        if rmw then
-                          line.rmw_watchers <- line.rmw_watchers + 1;
-                        add_watcher st line
-                          {
-                            w_thread = th;
-                            w_line = line;
-                            w_pred = pred;
-                            w_rmw = rmw;
-                            w_done = false;
-                            w_continue =
-                              (fun _ -> Effect.Deep.continue k ());
-                            w_next = Line.No_waiters;
-                          }
-                      end)
-          | E_await_until (line, rmw, pred, deadline) ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  th.ops <- th.ops + 1;
-                  match check_faults st th with
-                  | `Crash -> kill st th
-                  | `Run ->
-                      let cost, miss = read_cost st th line in
-                      advance_on_line st th line ~miss cost;
-                      if pred () then
-                        resume_later (fun () ->
-                            Effect.Deep.continue k true)
-                      else if th.time >= deadline then
-                        resume_later (fun () ->
-                            Effect.Deep.continue k false)
-                      else begin
-                        if rmw then
-                          line.rmw_watchers <- line.rmw_watchers + 1;
-                        let w =
-                          {
-                            w_thread = th;
-                            w_line = line;
-                            w_pred = pred;
-                            w_rmw = rmw;
-                            w_done = false;
-                            w_continue =
-                              (fun ok -> Effect.Deep.continue k ok);
-                            w_next = Line.No_waiters;
-                          }
-                        in
-                        add_watcher st line w;
-                        Pqueue.add st.q deadline (fun () ->
-                            fire_timeout st w deadline)
-                      end)
-          | E_fence ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  advance st th st.costs.sc_fence;
-                  resume_later (fun () -> Effect.Deep.continue k ()))
-          | E_pause ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  advance st th st.costs.pause;
-                  resume_later (fun () -> Effect.Deep.continue k ()))
-          | E_work ns ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  advance st th (max 0 ns);
-                  resume_later (fun () -> Effect.Deep.continue k ()))
-          | E_sleep ns ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  (* a timer sleep, not compute: the thread's clock
-                     advances but the CPU stays free, so green threads
-                     timesharing the CPU (e.g. the benchmark thread the
-                     recovery watchdog shares a core with) run at full
-                     speed during it. Counts no op. *)
-                  th.time <- th.time + max 0 ns;
-                  if th.time > st.max_time then st.max_time <- th.time;
-                  resume_later (fun () -> Effect.Deep.continue k ()))
-          | E_now ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  Effect.Deep.continue k th.time)
-          | E_cs_mark inside ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  (* op-neutral, like E_now: no cost, no event, no op
-                     count — marking a critical section must not shift
-                     benchmark numbers or fault anchors *)
-                  th.in_cs <- inside;
-                  Effect.Deep.continue k ())
-          | E_running ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  Effect.Deep.continue k (th.time < st.duration))
-          | E_tid ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  Effect.Deep.continue k th.t_id)
-          | E_cpu ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  Effect.Deep.continue k th.t_cpu)
+          | Park -> (park : ((a, unit) Effect.Deep.continuation -> unit) option)
           | _ -> None);
     }
 
@@ -503,7 +410,11 @@ let run ?(duration = 1_000_000) ?(faults = []) ~platform ~threads () =
       costs;
       tcost = Arch.transfer_costs costs;
       duration;
+      (* Watchdog against livelocks in code under test: a correct
+         benchmark drains shortly after [duration]; abort well past it. *)
+      cap = (if duration < max_int / 128 then duration * 64 else max_int);
       q = Pqueue.create ~dummy:ignore ();
+      cur = no_thread;
       cpus =
         Array.init (Topology.ncpus topo) (fun _ ->
             { busy_until = 0; last = -1 });
@@ -535,19 +446,17 @@ let run ?(duration = 1_000_000) ?(faults = []) ~platform ~threads () =
         (fun i (cpu, body) ->
           if cpu < 0 || cpu >= Topology.ncpus topo then
             invalid_arg (Printf.sprintf "Engine.run: cpu %d out of range" cpu);
-          let th = { t_id = i; t_cpu = cpu; time = 0; ops = 0; in_cs = false } in
+          let rec th =
+            { no_thread with t_id = i; t_cpu = cpu;
+              resume = (fun () -> continue_thread st th) }
+          in
           Pqueue.add st.q 0 (fun () -> spawn st th body))
         threads;
-      (* Watchdog against livelocks in code under test: a correct
-         benchmark drains shortly after [duration]; abort well past it. *)
-      let cap =
-        if duration < max_int / 128 then duration * 64 else max_int
-      in
       let aborted = ref false in
       let rec drain () =
         if not (Pqueue.is_empty st.q) then begin
           let f = Pqueue.pop_exn st.q in
-          if st.max_time > cap then aborted := true
+          if st.max_time > st.cap then aborted := true
           else begin
             st.events <- st.events + 1;
             f ();
@@ -587,17 +496,93 @@ let run ?(duration = 1_000_000) ?(faults = []) ~platform ~threads () =
         events = st.events;
       })
 
-let now () = Effect.perform E_now
-let cs_mark inside = Effect.perform (E_cs_mark inside)
-let running () = Effect.perform E_running
-let tid () = Effect.perform E_tid
-let cpu () = Effect.perform E_cpu
-let access line acc = Effect.perform (E_access (line, acc))
-let await_line line ~rmw pred = Effect.perform (E_await (line, rmw, pred))
+(* ---------- operations of the running thread ----------
+
+   Plain reads of the running thread, and ops that charge their cost
+   in place and then either continue inline or park. *)
+
+let now () = (current ()).cur.time
+
+(* op-neutral: no cost, no event, no op count — marking a critical
+   section must not shift benchmark numbers or fault anchors *)
+let cs_mark inside = (current ()).cur.in_cs <- inside
+
+let running () =
+  let st = current () in
+  st.cur.time < st.duration
+
+let tid () = (current ()).cur.t_id
+let cpu () = (current ()).cur.t_cpu
+
+let access line acc =
+  let st = current () in
+  let th = st.cur in
+  th.ops <- th.ops + 1;
+  let dies = check_faults st th in
+  (* a faulted op itself completes — sim_mem has already made the
+     value visible, so watchers must still be woken — and the thread
+     dies at the op boundary, never resumed *)
+  handle_access st th line acc;
+  if dies then kill st th else resume_later st th
+
+(* The head of both awaits: count the op, apply faults, charge the
+   first read of [line], and report whether [pred] already holds. A
+   crash at the await leaves no registered waiter ([kill] does not
+   return). *)
+let await_head st th line pred =
+  th.ops <- th.ops + 1;
+  if check_faults st th then begin
+    kill st th;
+    false
+  end
+  else begin
+    let cost, miss = read_cost st th line in
+    advance_on_line st th line ~miss cost;
+    pred ()
+  end
+
+let await_line line ~rmw pred =
+  let st = current () in
+  let th = st.cur in
+  if await_head st th line pred then resume_later st th
+  else begin
+    ignore (watch st th line ~rmw pred);
+    Effect.perform Park
+  end
 
 let await_line_until line ~rmw ~deadline pred =
-  Effect.perform (E_await_until (line, rmw, pred, deadline))
-let fence () = Effect.perform E_fence
-let pause () = Effect.perform E_pause
-let work ns = Effect.perform (E_work ns)
-let sleep ns = Effect.perform (E_sleep ns)
+  let st = current () in
+  let th = st.cur in
+  if await_head st th line pred then begin
+    resume_later st th;
+    true
+  end
+  else if th.time >= deadline then begin
+    resume_later st th;
+    false
+  end
+  else begin
+    let w = watch st th line ~rmw pred in
+    Pqueue.add st.q deadline (fun () -> fire_timeout st w deadline);
+    Effect.perform Park;
+    th.woke
+  end
+
+let compute st cost =
+  advance st st.cur cost;
+  resume_later st st.cur
+
+let fence () = let st = current () in compute st st.costs.sc_fence
+let pause () = let st = current () in compute st st.costs.pause
+let work ns = compute (current ()) (Int.max 0 ns)
+
+(* a timer sleep, not compute: the thread's clock advances but the CPU
+   stays free, so green threads timesharing the CPU (e.g. the benchmark
+   thread the recovery watchdog shares a core with) run at full speed
+   during it. Counts no op. *)
+let sleep ns =
+  let st = current () in
+  let th = st.cur in
+  th.time <- th.time + Int.max 0 ns;
+  if th.time > st.max_time then st.max_time <- th.time;
+  resume_later st th

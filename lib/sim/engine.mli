@@ -1,11 +1,14 @@
 (** Discrete-event execution engine.
 
     Benchmark threads are effects-based green threads pinned to CPUs of
-    a simulated {!Clof_topology.Platform.t}. Every atomic operation
-    performs an effect; the engine charges it a latency derived from the
-    cache-line state and the {!Arch.t} cost model, advances the thread's
-    virtual clock, and always resumes the runnable thread with the
-    smallest clock. Spin-waits block the thread until a write to the
+    a simulated {!Clof_topology.Platform.t}. The engine charges every
+    atomic operation a latency derived from the cache-line state and the
+    {!Arch.t} cost model, advances the thread's virtual clock, and
+    always resumes the runnable thread with the smallest clock. A thread
+    that is still strictly the earliest after an operation simply keeps
+    running; only a thread that must wait parks (the engine's one
+    effect), so the schedule is exactly that of an event queue popped
+    once per operation. Spin-waits block the thread until a write to the
     watched line satisfies the predicate; the wake-up is charged the
     line-transfer latency from the writer. Two threads pinned to the
     same CPU timeshare it (per-CPU busy window + context-switch cost).
@@ -76,8 +79,10 @@ type outcome = {
   crashed : int list;  (** tids killed by crash faults *)
   events : int;
       (** discrete events executed by the scheduler (thread spawns,
-          access completions, wake-ups, timeouts) — the denominator of
-          the [sim-throughput] benchmark's events/sec *)
+          access completions, wake-ups, timeouts; an operation after
+          which the thread keeps running counts as one event, as if it
+          had been queued and popped) — the denominator of the
+          [sim-throughput] benchmark's events/sec *)
 }
 
 val run :
@@ -99,8 +104,16 @@ val run :
 
 (** {2 Operations available inside thread bodies}
 
-    All of these perform effects and must be called from within a
-    {!run} thread. *)
+    These must be called from within a {!run} thread; outside a
+    simulation they raise [Invalid_argument].
+
+    {!now}, {!cs_mark}, {!running}, {!tid} and {!cpu} are plain reads
+    (and one write) of the running thread's record: they never yield.
+    {!access}, {!await_line}, {!await_line_until}, {!fence}, {!pause},
+    {!work} and {!sleep} may yield: the thread parks and other threads
+    run before it resumes, whenever another runnable thread's clock is
+    at or below its own, it waits on a line, or the run has passed its
+    livelock cutoff. *)
 
 val now : unit -> int
 (** This thread's virtual clock, ns. *)

@@ -103,3 +103,7 @@ let pop_min q =
   else
     let prio = q.prio.(0) in
     Some (prio, pop_exn q)
+
+let min_prio q =
+  if q.n = 0 then invalid_arg "Pqueue.min_prio: empty";
+  q.prio.(0)

@@ -26,6 +26,11 @@ val pop_exn : 'a t -> 'a
     equal priorities, the one inserted first. Allocation-free.
     @raise Invalid_argument when empty. *)
 
+val min_prio : 'a t -> int
+(** Priority of the entry {!pop_exn} would return next, without
+    removing it. Allocation-free.
+    @raise Invalid_argument when empty. *)
+
 val pop_min : 'a t -> (int * 'a) option
 (** Like {!pop_exn} but total, and paired with the entry's priority
     (allocates the option and pair; the engine's drain loop uses

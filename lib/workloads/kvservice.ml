@@ -250,6 +250,8 @@ type result = {
       (** merged per-stripe lock acquisition stats (latency = lock
           wait, not sojourn) *)
   r_hung : bool;
+  r_events : int;
+  r_transfers : (Level.proximity * int) list;
 }
 
 (* ---------- the service ---------- *)
@@ -377,4 +379,6 @@ let run ?(check = true) ~platform ~nworkers ~spec p =
     r_phases = phase_results;
     r_lock_stats = St.merge_all (Array.to_list lockrecs);
     r_hung = o.E.hung;
+    r_events = o.E.events;
+    r_transfers = o.E.transfers;
   }

@@ -110,6 +110,11 @@ type result = {
   r_lock_stats : Clof_stats.Stats.recorder;
       (** merged per-stripe lock stats (latency = lock wait) *)
   r_hung : bool;
+  r_events : int;
+      (** discrete engine events executed during the run (see
+          {!Clof_sim.Engine.outcome}) *)
+  r_transfers : (Clof_topology.Level.proximity * int) list;
+      (** cache-line transfers by distance class during the run *)
 }
 
 val run :

@@ -477,6 +477,22 @@ let test_faults_experiment_renders () =
      in
      find 0)
 
+(* The engine's minor words per event on the two sim-throughput loops
+   stay under fixed bounds. Minor-word counts are deterministic for one
+   compiler version; the bounds leave room for the differences between
+   the supported OCaml releases. *)
+let test_sim_words_per_event () =
+  let bound = function "pingpong" -> 35.0 | _ -> 25.0 in
+  List.iter
+    (fun (s : Clof_harness.Simbench.sample) ->
+      let b = bound s.label in
+      check_bool
+        (Printf.sprintf "%s: %.1f minor words/event <= %.0f" s.label
+           s.words_per_event b)
+        true
+        (s.events > 0 && s.words_per_event <= b))
+    (Clof_harness.Simbench.run ~quick:true ())
+
 let () =
   Alcotest.run "harness"
     [
@@ -517,6 +533,11 @@ let () =
             test_registry_gated_strip;
           Alcotest.test_case "registry decode either" `Slow
             test_registry_decode_either;
+        ] );
+      ( "simbench",
+        [
+          Alcotest.test_case "words per event" `Quick
+            test_sim_words_per_event;
         ] );
       ( "faults",
         [

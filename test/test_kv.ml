@@ -237,6 +237,11 @@ let test_service_invariants () =
   check_int "open loop: every arrival served" offered r.KV.r_total;
   check_int "per-phase completions sum to total" completed r.KV.r_total;
   check_bool "clean" true (not r.KV.r_hung);
+  (* the engine outcome is carried through: every request costs events
+     and moves lines between the workers *)
+  check_bool "engine events counted" true (r.KV.r_events > r.KV.r_total);
+  check_bool "line transfers counted" true
+    (List.fold_left (fun a (_, n) -> a + n) 0 r.KV.r_transfers > 0);
   (* sojourn histograms carry exactly the completions *)
   List.iter
     (fun p ->

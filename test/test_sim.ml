@@ -14,6 +14,9 @@ let check_bool = Alcotest.(check bool)
 let test_pqueue_basic () =
   let q = Pqueue.create ~dummy:"" () in
   check_bool "empty" true (Pqueue.is_empty q);
+  Alcotest.check_raises "min_prio of empty"
+    (Invalid_argument "Pqueue.min_prio: empty") (fun () ->
+      ignore (Pqueue.min_prio q));
   Pqueue.add q 3 "c";
   Pqueue.add q 1 "a";
   Pqueue.add q 2 "b";
@@ -62,12 +65,17 @@ let prop_pqueue_fifo_model =
           (fun (p1, _) (p2, _) -> compare p1 p2)
           (List.mapi (fun i p -> (p, i)) prios)
       in
+      (* min_prio peeks at the priority the next pop_min returns *)
       let rec drain acc =
+        let peek =
+          if Pqueue.is_empty q then None else Some (Pqueue.min_prio q)
+        in
         match Pqueue.pop_min q with
-        | None -> List.rev acc
-        | Some pv -> drain (pv :: acc)
+        | None -> if peek = None then Some (List.rev acc) else None
+        | Some ((p, _) as pv) ->
+            if peek = Some p then drain (pv :: acc) else None
       in
-      drain [] = model)
+      drain [] = Some model)
 
 let test_pqueue_zero_alloc () =
   let q = Pqueue.create ~dummy:0 () in
@@ -306,7 +314,65 @@ let test_engine_watchdog () =
       ()
   in
   check_bool "aborted" true o.E.aborted;
-  check_bool "abort is not a hang" true (not o.E.hung)
+  check_bool "abort is not a hang" true (not o.E.hung);
+  (* a lone thread always continues inline; the cutoff must still land
+     on exactly the event where a queue-only scheduler stops *)
+  check_int "events at the cutoff" 10667 o.E.events;
+  check_int "end_time at the cutoff" 64002 o.E.end_time
+
+let test_engine_tie_order () =
+  (* both threads reach every step at the same clock: on a tie the
+     older queue entry runs first, so the running thread never
+     continues inline past an equal-time peer and the two alternate *)
+  let p = Platform.tiny in
+  let log = ref [] in
+  let body tid =
+    for _ = 1 to 3 do
+      E.work 100;
+      log := (tid, E.now ()) :: !log
+    done
+  in
+  let o =
+    E.run ~duration:max_int ~platform:p ~threads:[ (0, body); (8, body) ] ()
+  in
+  Alcotest.(check (list (pair int int)))
+    "alternating order"
+    [ (0, 100); (1, 100); (0, 200); (1, 200); (0, 300); (1, 300) ]
+    (List.rev !log);
+  check_int "events" 8 o.E.events;
+  check_int "end_time" 300 o.E.end_time
+
+let test_engine_outside_run () =
+  let outside = Invalid_argument "Engine: called outside a simulation" in
+  Alcotest.check_raises "now" outside (fun () -> ignore (E.now ()));
+  Alcotest.check_raises "tid" outside (fun () -> ignore (E.tid ()));
+  Alcotest.check_raises "running" outside (fun () -> ignore (E.running ()))
+
+exception Boom
+
+let test_engine_exception_propagates () =
+  let p = Platform.tiny in
+  Alcotest.check_raises "a body's exception leaves run" Boom (fun () ->
+      ignore
+        (E.run ~duration:max_int ~platform:p
+           ~threads:
+             [
+               ( 0,
+                 fun _ ->
+                   E.work 10;
+                   E.work 10 );
+               ( 8,
+                 fun _ ->
+                   E.work 15;
+                   raise Boom );
+             ]
+           ()));
+  (* the domain-local state was reset: the next run works *)
+  let o =
+    E.run ~duration:max_int ~platform:p ~threads:[ (0, fun _ -> E.work 100) ] ()
+  in
+  check_bool "second run not hung" true (not o.E.hung);
+  check_int "second run end_time" 100 o.E.end_time
 
 let test_engine_running_duration () =
   let p = Platform.tiny in
@@ -637,6 +703,10 @@ let () =
           Alcotest.test_case "watcher state cleared on deadlock" `Quick
             test_watcher_state_cleared_on_deadlock;
           Alcotest.test_case "watchdog" `Quick test_engine_watchdog;
+          Alcotest.test_case "tie order" `Quick test_engine_tie_order;
+          Alcotest.test_case "outside run" `Quick test_engine_outside_run;
+          Alcotest.test_case "exception propagates" `Quick
+            test_engine_exception_propagates;
           Alcotest.test_case "running duration" `Quick
             test_engine_running_duration;
           Alcotest.test_case "tid/cpu" `Quick test_engine_tid_cpu;
