@@ -4,11 +4,12 @@
    baseline. Exit codes: 0 clean, 1 regression (or nothing comparable),
    2 unreadable/invalid report.
 
-   Which experiments join the comparison and how the rest are printed
-   both come from the experiment registry (Clof_harness.Registry):
-   only Gated_series experiments enter the join, and every archived
-   experiment is decoded by its registered reader — this file knows no
-   experiment ids. *)
+   Which experiments join the comparison, and how the rest are printed
+   and judged, all come from the experiment registry
+   (Clof_harness.Registry): only joining experiments enter the join;
+   every other archived experiment is re-printed by its registered
+   printer and re-judged by its registered gate, and a violation fails
+   the check like a regression — this file knows no experiment ids. *)
 
 module Report = Clof_harness.Report
 module Registry = Clof_harness.Registry
@@ -56,14 +57,35 @@ let check baseline current max_drop max_jain_drop min_jain require_all =
   | Ok base, Ok cur ->
       pp_meta "baseline" base;
       pp_meta "current" cur;
-      (* non-joinable experiments (verify counters, native wall clock,
+      (* own-gate experiments (verify counters, native wall clock,
          fault classes, per-phase matrices, sojourn histograms): print
-         each archive through its registered decoder, preferring the
-         current report's copy *)
-      Registry.decode_either ~baseline:base ~current:cur;
-      (* the regression join runs only on Gated_series experiments:
-         everything else is either bookkeeping in benchmark clothing or
-         trajectory data under a gate that already ran at produce time *)
+         each through its registered printer, preferring the current
+         report's copy, and re-run its gate on the current copy *)
+      let rejudged =
+        (* a printer or gate that trips over an archive means the
+           archive lacks what its experiment writes: invalid input *)
+        match
+          Registry.recheck Format.std_formatter ~baseline:base ~current:cur
+        with
+        | v -> v
+        | exception (Not_found | Failure _ | Invalid_argument _) ->
+            Format.pp_print_flush Format.std_formatter ();
+            prerr_endline
+              "bench_check: an archived experiment lacks the series or \
+               meta its printer reads";
+            exit 2
+      in
+      Format.pp_print_flush Format.std_formatter ();
+      List.iter (fun v -> prerr_endline ("bench_check: " ^ v)) rejudged;
+      let fail_on_gates () =
+        if rejudged <> [] then begin
+          Printf.eprintf "bench_check: %d archived gate violation(s)\n"
+            (List.length rejudged);
+          exit 1
+        end
+      in
+      (* the regression join runs only on joining experiments: the rest
+         are judged by their own gates above *)
       let base = Registry.gated base and cur = Registry.gated cur in
       let cur_points = flatten cur in
       let find key =
@@ -110,7 +132,8 @@ let check baseline current max_drop max_jain_drop min_jain require_all =
       if !compared = 0 then
         if flatten base = [] && flatten cur = [] then begin
           (* archives with no gateable experiments (verify-only, kv-only,
-             ...): the readbacks printed above are all there is *)
+             ...): the gates re-run above are all there is *)
+          fail_on_gates ();
           print_endline "bench_check: OK — no gateable points";
           exit 0
         end
@@ -133,6 +156,7 @@ let check baseline current max_drop max_jain_drop min_jain require_all =
           (List.length !violations) !compared;
         exit 1
       end;
+      fail_on_gates ();
       Printf.printf
         "bench_check: OK — %d point(s) within -%.1f%% throughput / %.2f \
          fairness drop%s\n"

@@ -8,11 +8,6 @@
 
 module Registry = Clof_harness.Registry
 
-let kind_label = function
-  | Clof_harness.Report.Gated_series -> "gated"
-  | Clof_harness.Report.Report_only -> "report-only"
-  | Clof_harness.Report.Excluded_from_join -> "own-gate"
-
 let list_experiments () =
   List.iter
     (fun (id, descr) -> Printf.printf "%-16s %s\n" id descr)
@@ -24,7 +19,7 @@ let list_experiments () =
   List.iter
     (fun (e : Registry.entry) ->
       Printf.printf "%-8s %-12s %s\n" e.Registry.id
-        ("[" ^ kind_label e.Registry.kind ^ "]")
+        (if e.Registry.joins then "[gated]" else "[own-gate]")
         e.Registry.doc)
     Registry.all
 
@@ -89,24 +84,34 @@ let run_ids quick jobs list ids =
             `Ok ())
   end
 
-(* The canonical gate run for a registry entry: run, render, archive
-   the report (also on a gate failure, so CI keeps the evidence), then
-   fail on the gate verdicts. *)
-let registry_gate (e : Registry.entry) quick jobs out =
-  set_jobs jobs;
-  match e.Registry.run ~quick Format.std_formatter with
-  | Error msg -> `Error (false, msg)
-  | Ok (r, gate) -> (
+(* The one produce -> print -> write -> gate path of every report
+   subcommand: print the entry's experiments through its printer,
+   archive the report (also on a gate failure, so CI keeps the
+   evidence), then fail on the gate's verdicts. *)
+let publish (e : Registry.entry) out produce =
+  match produce () with
+  | exception Clof_native.Native.Lock_failure msg ->
+      `Error (false, "native backend: " ^ msg)
+  | exception Clof_workloads.Workload.Lock_failure msg ->
+      `Error (false, "simulated backend: " ^ msg)
+  | r -> (
+      let exps = Registry.owned e r in
+      List.iter (e.Registry.pp Format.std_formatter) exps;
+      Format.pp_print_flush Format.std_formatter ();
       match write_report out r with
       | Error msg -> `Error (false, msg)
       | Ok () -> (
-          match gate with
+          match List.concat_map e.Registry.gate exps with
           | [] -> `Ok ()
           | errs ->
               `Error
                 ( false,
                   Printf.sprintf "%s gate: %s" e.Registry.id
                     (String.concat "; " errs) )))
+
+let registry_gate (e : Registry.entry) quick jobs out =
+  set_jobs jobs;
+  publish e out (fun () -> e.Registry.run ~quick)
 
 let report quick jobs out ids =
   set_jobs jobs;
@@ -169,59 +174,31 @@ let verify_seed memmode seed =
           seed
           (String.concat ", " bad) )
 
-let verify_suite quick naive memmode out =
-  let strategy =
-    if naive then Some Clof_verify.Checker.Naive else None
-  in
-  let outcomes =
-    Clof_harness.Verifybench.run ~quick ?strategy ?mode:memmode ()
-  in
-  Clof_harness.Verifybench.pp Format.std_formatter outcomes;
-  Format.pp_print_flush Format.std_formatter ();
-  match
-    write_report out (Clof_harness.Verifybench.to_report ~quick outcomes)
-  with
-  | Error msg -> `Error (false, msg)
-  | Ok () -> (
-      (* gate on verdicts only: statistics are trajectory data *)
-      match Clof_harness.Verifybench.gate outcomes with
-      | [] -> `Ok ()
-      | bad ->
-          `Error
-            ( false,
-              Printf.sprintf "verify gate: %s"
-                (String.concat "; "
-                   (List.map
-                      (fun o ->
-                        o.Clof_verify.Scenarios.o_entry
-                          .Clof_verify.Scenarios.e_named
-                          .Clof_verify.Scenarios.sname)
-                      bad)) ))
-
 let verify quick jobs naive memmode seed out =
   set_jobs jobs;
   match seed with
   | Some seed -> verify_seed memmode seed
-  | None -> verify_suite quick naive memmode out
+  | None ->
+      let strategy =
+        if naive then Some Clof_verify.Checker.Naive else None
+      in
+      publish
+        (Option.get (Registry.find "verify"))
+        out
+        (fun () ->
+          Clof_harness.Report.of_experiment ~quick
+            (Clof_harness.Verifybench.run ~quick ?strategy ?mode:memmode ()))
 
+(* the floor, when given, is archived with the run: the rank
+   correlation is all that gates, never native wall clock *)
 let xval quick jobs out min_corr =
   set_jobs jobs;
-  match Clof_harness.Xval.run ~quick () with
-  | exception Clof_native.Native.Lock_failure msg ->
-      `Error (false, "native backend: " ^ msg)
-  | exception Clof_workloads.Workload.Lock_failure msg ->
-      `Error (false, "simulated backend: " ^ msg)
-  | x -> (
-      Clof_harness.Xval.pp Format.std_formatter x;
-      Format.pp_print_flush Format.std_formatter ();
-      match write_report out (Clof_harness.Xval.to_report ~quick x) with
-      | Error msg -> `Error (false, msg)
-      | Ok () -> (
-          (* gate on the rank correlation only: absolute native
-             throughput is wall clock on whatever machine this is *)
-          match Clof_harness.Xval.gate ?min_corr x with
-          | [] -> `Ok ()
-          | bad -> `Error (false, "xval gate: " ^ String.concat "; " bad)))
+  publish
+    (Option.get (Registry.find "xval"))
+    out
+    (fun () ->
+      Clof_harness.Report.of_experiment ~quick
+        (Clof_harness.Xval.run ~quick ?min_corr ()))
 
 open Cmdliner
 

@@ -18,10 +18,10 @@
    count, throughput/total_ops/sim_ns/jain/stats = that phase's
    measurements (the two low phases share a thread count, which is why
    this experiment cannot participate in the (lock, threads) join).
-   One extra series "controller" carries the adaptive lock's
-   controller counters in slots: threads = 1-based phase index,
-   total_ops = mode switches applied during that phase, sim_ns = final
-   mode (0 = fastpath, 1 = keep_local, 2 = fair). *)
+   A pointless "controller" series carries the adaptive lock's
+   per-phase switch count and settled mode in its meta, and a
+   pointless "gate" series the declared slack and loss, so a re-gate
+   of the archive applies the rule it was produced under. *)
 
 open Clof_topology
 module M = Clof_sim.Sim_mem
@@ -38,21 +38,6 @@ module F = Clof_core.Fastpath.Make (M) (C4)
 module A = Clof_core.Adaptive.Make (M) (C4)
 
 type phase = { ph_name : string; ph_threads : int; ph_params : W.params }
-
-type cell = {
-  c_lock : string;
-  c_phase : string;
-  c_threads : int;
-  c_throughput : float;
-  c_total_ops : int;
-  c_sim_ns : int;
-  c_jain : float;
-  c_stats : S.recorder;
-  c_switches : int;
-  c_mode : string;
-}
-
-type t = { t_phases : phase list; t_cells : cell list }
 
 let adaptive_name = "ad-clof<4>"
 
@@ -108,6 +93,19 @@ let adaptive_spec ~hierarchy last =
         });
   }
 
+let exp_id = "adapt"
+
+(* The acceptance criterion: the adaptive lock must be within [slack]
+   of the best static composition in every phase, and every static
+   composition must lose at least [loss] somewhere — otherwise either
+   the controller failed to track the traffic or the phase workload
+   stopped discriminating, and the archived numbers would be
+   vacuous. *)
+let slack = 0.10
+let loss = 0.25
+
+let meta_series lock meta = { Report.lock; meta = Some meta; points = [] }
+
 let run ?(quick = false) () =
   let p = Platform.x86 in
   let hierarchy = hierarchy p in
@@ -122,249 +120,167 @@ let run ?(quick = false) () =
       adaptive_spec ~hierarchy last;
     ]
   in
-  let cells =
-    List.concat_map
+  let phases = phases quick in
+  (* per phase: every lock's point, and the adaptive lock's controller
+     readback (switches during the phase, settled mode) *)
+  let measured =
+    List.map
       (fun ph ->
-        List.map
-          (fun spec ->
-            last := None;
-            let r =
-              W.run ~platform:p ~nthreads:ph.ph_threads ~spec ph.ph_params
-            in
-            let switches, mode =
-              match !last with
-              | Some t -> (A.switches t, Clof_core.Adaptive.mode_to_string (A.mode t))
-              | None -> (0, "-")
-            in
-            {
-              c_lock = r.W.lock;
-              c_phase = ph.ph_name;
-              c_threads = ph.ph_threads;
-              c_throughput = r.W.throughput;
-              c_total_ops = r.W.total_ops;
-              c_sim_ns = r.W.sim_ns;
-              c_jain = Report.jain r.W.per_thread;
-              c_stats = r.W.stats;
-              c_switches = switches;
-              c_mode = mode;
-            })
-          specs)
-      (phases quick)
-  in
-  { t_phases = phases quick; t_cells = cells }
-
-(* The acceptance criterion as a gate: the adaptive lock must be
-   within [slack] of the best static composition in every phase, and
-   every static composition must lose at least [loss] somewhere —
-   otherwise either the controller failed to track the traffic or the
-   phase workload stopped discriminating, and the archived numbers
-   would be vacuous. *)
-let gate ?(slack = 0.10) ?(loss = 0.25) t =
-  let phase_cells ph =
-    List.filter (fun c -> c.c_phase = ph.ph_name) t.t_cells
-  in
-  let best_static cells =
-    List.fold_left
-      (fun acc c ->
-        if c.c_lock = adaptive_name then acc else Float.max acc c.c_throughput)
-      0.0 cells
-  in
-  let errors = ref [] in
-  let statics_losing = Hashtbl.create 4 in
-  List.iter
-    (fun ph ->
-      let cells = phase_cells ph in
-      let best = best_static cells in
-      List.iter
-        (fun c ->
-          if c.c_lock = adaptive_name then begin
-            if c.c_throughput < (1.0 -. slack) *. best then
-              errors :=
-                Printf.sprintf
-                  "%s: adaptive %.3f ops/us not within %.0f%% of best \
-                   static %.3f"
-                  ph.ph_name c.c_throughput (100.0 *. slack) best
-                :: !errors
-          end
-          else if c.c_throughput <= (1.0 -. loss) *. best then
-            Hashtbl.replace statics_losing c.c_lock ())
-        cells)
-    t.t_phases;
-  List.iter
-    (fun c ->
-      if
-        c.c_lock <> adaptive_name
-        && not (Hashtbl.mem statics_losing c.c_lock)
-      then begin
-        Hashtbl.replace statics_losing c.c_lock ();
-        errors :=
-          Printf.sprintf
-            "%s: never loses >= %.0f%% to the best static in any phase — \
-             the phase workload stopped discriminating"
-            c.c_lock (100.0 *. loss)
-          :: !errors
-      end)
-    t.t_cells;
-  List.rev !errors
-
-let exp_id = "adapt"
-
-(* the two low phases share a thread count, so the points cannot join
-   the deterministic (lock, threads) regression key; the
-   within-slack-of-best gate already ran inside clof_bench adapt *)
-let join_kind = Report.Excluded_from_join
-
-let to_report ?(quick = false) t =
-  let locks =
-    List.sort_uniq compare (List.map (fun c -> c.c_lock) t.t_cells)
+        let controller = ref [] in
+        let points =
+          List.map
+            (fun spec ->
+              last := None;
+              let r =
+                W.run ~platform:p ~nthreads:ph.ph_threads ~spec ph.ph_params
+              in
+              Option.iter
+                (fun t ->
+                  controller :=
+                    [
+                      (ph.ph_name ^ ".switches", Report.I (A.switches t));
+                      ( ph.ph_name ^ ".mode",
+                        Report.S (Clof_core.Adaptive.mode_to_string (A.mode t))
+                      );
+                    ])
+                !last;
+              (r.W.lock, Report.point_of_result (ph.ph_threads, r)))
+            specs
+        in
+        (points, !controller))
+      phases
   in
   let phase_names =
-    String.concat "," (List.map (fun ph -> ph.ph_name) t.t_phases)
+    ( "phases",
+      Report.S (String.concat "," (List.map (fun ph -> ph.ph_name) phases)) )
   in
+  let locks = List.sort_uniq compare (List.map fst (fst (List.hd measured))) in
   let series =
     List.map
       (fun lock ->
         {
           Report.lock;
-          meta = Some [ ("phases", Report.S phase_names) ];
-          points =
-            List.filter_map
-              (fun ph ->
-                List.find_opt
-                  (fun c -> c.c_lock = lock && c.c_phase = ph.ph_name)
-                  t.t_cells
-                |> Option.map (fun c ->
-                       {
-                         Report.threads = c.c_threads;
-                         throughput = c.c_throughput;
-                         total_ops = c.c_total_ops;
-                         sim_ns = c.c_sim_ns;
-                         jain = c.c_jain;
-                         stats = c.c_stats;
-                       }))
-              t.t_phases;
+          meta = Some [ phase_names ];
+          points = List.map (fun (pts, _) -> List.assoc lock pts) measured;
         })
       locks
   in
-  let controller =
-    {
-      Report.lock = "controller";
-      meta =
-        Some
-          (("phases", Report.S phase_names)
-          :: List.concat_map
-               (fun ph ->
-                 let c =
-                   List.find
-                     (fun c ->
-                       c.c_lock = adaptive_name && c.c_phase = ph.ph_name)
-                     t.t_cells
-                 in
-                 [
-                   (ph.ph_name ^ ".switches", Report.I c.c_switches);
-                   (ph.ph_name ^ ".mode", Report.S c.c_mode);
-                 ])
-               t.t_phases);
-      points = [];
-    }
-  in
   {
-    Report.version = Report.schema_version;
-    quick;
-    meta = None;
-    experiments =
-      [
-        {
-          Report.exp_id;
-          platform = "x86";
-          workload = "phase-shift";
-          series = series @ [ controller ];
-        };
-      ];
+    Report.exp_id;
+    platform = "x86";
+    workload = "phase-shift";
+    series =
+      series
+      @ [
+          meta_series "controller"
+            (phase_names :: List.concat_map snd measured);
+          meta_series "gate"
+            [ ("slack", Report.F slack); ("loss", Report.F loss) ];
+        ];
   }
 
-(* Per-phase matrix readback for bench_check: printed for
-   trend-watching only — the within-slack-of-best gate already ran
-   inside clof_bench adapt. *)
-let decode ~label (r : Report.t) =
-  List.iter
-    (fun (e : Report.experiment) ->
-      if e.Report.exp_id = exp_id then begin
-        Printf.printf "bench_check: %s adaptive phases (%s, %s):\n" label
-          e.Report.platform e.Report.workload;
-        List.iter
-          (fun (s : Report.series) ->
-            let phases =
-              match Report.meta_str s "phases" with
-              | None | Some "" -> []
-              | Some names -> String.split_on_char ',' names
-            in
-            if s.Report.lock = "controller" then
-              List.iter
-                (fun ph ->
-                  match
-                    ( Report.meta_int s (ph ^ ".switches"),
-                      Report.meta_str s (ph ^ ".mode") )
-                  with
-                  | Some switches, Some mode ->
-                      Printf.printf
-                        "  controller phase %s: %d switch(es), settled in %s\n"
-                        ph switches mode
-                  | _ -> ())
-                phases
-            else
-              Printf.printf "  %-12s %s\n" s.Report.lock
-                (String.concat "  "
-                   (List.map
-                      (fun (p : Report.point) ->
-                        Printf.sprintf "%3dT %7.3f ops/us" p.Report.threads
-                          p.Report.throughput)
-                      s.Report.points)))
-          e.Report.series
-      end)
-    r.experiments
+(* ---------- readings ---------- *)
 
-let pp ppf t =
+let locks (e : Report.experiment) =
+  List.filter
+    (fun (s : Report.series) -> s.Report.points <> [])
+    e.Report.series
+
+let phases (e : Report.experiment) =
+  match locks e with s :: _ -> Report.meta_list s "phases" | [] -> []
+
+let declared (e : Report.experiment) =
+  let get key default =
+    Option.value ~default
+      (Option.bind (Report.find_series e "gate") (fun s ->
+           Report.meta_float s key))
+  in
+  (get "slack" slack, get "loss" loss)
+
+let throughputs (s : Report.series) =
+  List.map (fun (p : Report.point) -> p.Report.throughput) s.Report.points
+
+let gate e =
+  let slack, loss = declared e in
+  let statics =
+    List.filter
+      (fun (s : Report.series) -> s.Report.lock <> adaptive_name)
+      (locks e)
+  in
+  let best =
+    List.fold_left
+      (List.map2 Float.max)
+      (List.map (fun _ -> 0.0) (phases e))
+      (List.map throughputs statics)
+  in
+  let lagging =
+    match Report.find_series e adaptive_name with
+    | None -> []
+    | Some a ->
+        List.concat
+          (List.map2
+             (fun (ph, tp) b ->
+               if tp < (1.0 -. slack) *. b then
+                 [
+                   Printf.sprintf
+                     "%s: adaptive %.3f ops/us not within %.0f%% of best \
+                      static %.3f"
+                     ph tp (100.0 *. slack) b;
+                 ]
+               else [])
+             (List.combine (phases e) (throughputs a))
+             best)
+  in
+  let never_losing =
+    List.filter_map
+      (fun (s : Report.series) ->
+        if
+          List.exists2
+            (fun tp b -> tp <= (1.0 -. loss) *. b)
+            (throughputs s) best
+        then None
+        else
+          Some
+            (Printf.sprintf
+               "%s: never loses >= %.0f%% to the best static in any phase — \
+                the phase workload stopped discriminating"
+               s.Report.lock (100.0 *. loss)))
+      statics
+  in
+  lagging @ never_losing
+
+let pp ppf (e : Report.experiment) =
   Format.pp_print_string ppf
     (Render.section
        "adapt: contention-adaptive composition on the phase-shift \
         workload (x86, ops/us)");
-  let locks =
-    List.sort_uniq compare (List.map (fun c -> c.c_lock) t.t_cells)
-  in
+  let locks = locks e in
   let header =
     "lock"
-    :: List.map
-         (fun ph -> Printf.sprintf "%s(%dT)" ph.ph_name ph.ph_threads)
-         t.t_phases
+    :: List.map2
+         (fun ph (p : Report.point) ->
+           Printf.sprintf "%s(%dT)" ph p.Report.threads)
+         (phases e) (List.hd locks).Report.points
   in
   let rows =
-    List.map
-      (fun lock ->
-        ( lock,
-          List.filter_map
-            (fun ph ->
-              List.find_opt
-                (fun c -> c.c_lock = lock && c.c_phase = ph.ph_name)
-                t.t_cells
-              |> Option.map (fun c -> c.c_throughput))
-            t.t_phases ))
-      locks
+    List.map (fun (s : Report.series) -> (s.Report.lock, throughputs s)) locks
   in
   Format.pp_print_string ppf (Render.table ~header ~rows);
-  List.iter
-    (fun ph ->
-      let c =
-        List.find
-          (fun c -> c.c_lock = adaptive_name && c.c_phase = ph.ph_name)
-          t.t_cells
-      in
-      Format.fprintf ppf "%-8s controller: %d switch(es), settled in %s@."
-        ph.ph_name c.c_switches c.c_mode)
-    t.t_phases;
-  match gate t with
+  Option.iter
+    (fun c ->
+      List.iter
+        (fun ph ->
+          Format.fprintf ppf
+            "%-8s controller: %d switch(es), settled in %s@." ph
+            (Option.value ~default:0 (Report.meta_int c (ph ^ ".switches")))
+            (Option.value ~default:"-" (Report.meta_str c (ph ^ ".mode"))))
+        (phases e))
+    (Report.find_series e "controller");
+  match gate e with
   | [] ->
+      let slack, loss = declared e in
       Format.fprintf ppf
-        "adapt gate: adaptive within 10%% of best static in every phase; \
-         each static loses >= 25%% somewhere@."
+        "adapt gate: adaptive within %.0f%% of best static in every phase; \
+         each static loses >= %.0f%% somewhere@."
+        (100.0 *. slack) (100.0 *. loss)
   | errs -> List.iter (fun e -> Format.fprintf ppf "adapt gate: %s@." e) errs

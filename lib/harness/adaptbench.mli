@@ -6,55 +6,27 @@
     Results ship through the Report schema as exp_id ["adapt"]
     (BENCH_adaptive.json): one series per lock with one point per
     phase ([threads] = the phase's thread count) and a ["phases"] meta
-    key naming the phase order, plus a pointless "controller" series
-    whose typed [meta] block carries ["<phase>.switches"] and
-    ["<phase>.mode"] per phase. The two low phases share a thread
-    count, so bench_check excludes "adapt" from its deterministic
-    (lock, threads) regression join and decodes the table informally
-    instead. *)
+    key naming the phase order, a pointless ["controller"] series whose
+    meta carries ["<phase>.switches"] and ["<phase>.mode"] per phase,
+    and a pointless ["gate"] series declaring ["slack"] and ["loss"].
+    The two low phases share a thread count, so bench_check keeps
+    "adapt" out of its (lock, threads) regression join and re-runs
+    {!gate} on the archive instead. *)
 
-type phase = { ph_name : string; ph_threads : int; ph_params : Clof_workloads.Workload.params }
+val exp_id : string
+(** ["adapt"]. *)
 
-type cell = {
-  c_lock : string;
-  c_phase : string;
-  c_threads : int;
-  c_throughput : float;
-  c_total_ops : int;
-  c_sim_ns : int;
-  c_jain : float;
-  c_stats : Clof_stats.Stats.recorder;
-  c_switches : int;  (** controller switches during the phase; 0 for statics *)
-  c_mode : string;  (** settled mode after the phase; "-" for statics *)
-}
-
-type t = { t_phases : phase list; t_cells : cell list }
-
-val run : ?quick:bool -> unit -> t
+val run : ?quick:bool -> unit -> Report.experiment
 (** Run all phases for all four locks, sequentially (the adaptive
     lock's controller counters are read back per phase). Quick mode
     shortens each phase's duration; thread counts and thresholds are
     identical, so the controller's trajectory is the same shape. *)
 
-val gate : ?slack:float -> ?loss:float -> t -> string list
+val gate : Report.experiment -> string list
 (** The acceptance criterion: empty iff the adaptive lock is within
-    [slack] (default 10%) of the best static composition in {e every}
-    phase {e and} each static loses at least [loss] (default 25%) to
-    the best in at least one phase. Violations are returned as
-    human-readable messages. *)
+    the declared slack (10%) of the best static composition in
+    {e every} phase {e and} each static loses at least the declared
+    loss (25%) to the best in at least one phase. Violations are
+    returned as human-readable messages. *)
 
-val exp_id : string
-(** ["adapt"]. *)
-
-val join_kind : Report.join_kind
-(** {!Report.Excluded_from_join}: the two low phases share a thread
-    count, and the within-slack-of-best gate already ran inside
-    [clof_bench adapt]. *)
-
-val to_report : ?quick:bool -> t -> Report.t
-
-val decode : label:string -> Report.t -> unit
-(** Print the per-phase matrix and controller trajectory read back
-    from a report (the [bench_check] side of the channel). *)
-
-val pp : Format.formatter -> t -> unit
+val pp : Format.formatter -> Report.experiment -> unit

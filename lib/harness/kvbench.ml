@@ -24,9 +24,11 @@
    count, sim_ns = the nominal phase span, jain = the run's per-worker
    completion fairness, and the point's stats histogram is the phase's
    *sojourn* recorder (enqueue -> completion), not lock-acquire
-   latency. A pointless "slo" series carries the declared gate
-   constants in its typed meta, so bench_check re-reads the archived
-   SLOs instead of hardcoding them. *)
+   latency. Series meta carries the phase order, worker and stripe
+   counts, the whole-run service rate and the offered request count.
+   A pointless "slo" series carries the declared gate constants, so
+   the printer and the gate re-read the archived SLOs instead of
+   hardcoding them. *)
 
 open Clof_topology
 module M = Clof_sim.Sim_mem
@@ -75,7 +77,7 @@ let throughput_tolerance = 0.25
 
 (* ---------- workload ---------- *)
 
-let nworkers quick = if quick then 64 else 64
+let nworkers = 64
 
 (* Service times are short (a KV get/put touching a cached value):
    handovers are then frequent enough during a burst that the locks'
@@ -171,31 +173,7 @@ let specs p =
     Shfl.spec ();
   ]
 
-type t = {
-  t_quick : bool;
-  t_nworkers : int;
-  t_params : KV.params;
-  t_results : KV.result list;
-}
-
-let run ?(quick = false) () =
-  let p = Platform.x86 in
-  let prm = params quick in
-  let n = nworkers quick in
-  let results =
-    Exec.map (fun spec -> KV.run ~platform:p ~nworkers:n ~spec prm) (specs p)
-  in
-  { t_quick = quick; t_nworkers = n; t_params = prm; t_results = results }
-
-(* ---------- readings ---------- *)
-
-let find t name = List.find_opt (fun r -> r.KV.r_lock = name) t.t_results
-
-let phase (r : KV.result) label =
-  List.find (fun p -> p.KV.p_label = label) r.KV.r_phases
-
-let pct rec_ p =
-  match S.percentile_interp rec_ p with Some v -> v | None -> infinity
+let exp_id = "kv"
 
 (* Whole-run service rate: completions per us of the time it took to
    drain them — an overloaded lock pays for its backlog here. *)
@@ -203,88 +181,42 @@ let service_rate (r : KV.result) =
   if r.KV.r_sim_ns = 0 then 0.0
   else 1000.0 *. float_of_int r.KV.r_total /. float_of_int r.KV.r_sim_ns
 
-(* ---------- the gate ---------- *)
-
-let gate t =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  (* 1: nobody misses the low-load p99 SLO *)
-  List.iter
-    (fun r ->
-      let p99 = pct (phase r "low-1").KV.p_sojourn 99.0 in
-      if p99 > low_p99_slo_ns then
-        err "%s: low-1 p99 sojourn %.0f ns misses the %.0f ns SLO"
-          r.KV.r_lock p99 low_p99_slo_ns)
-    t.t_results;
-  (* 2 + 3: the fair-vs-barging tail divergence, at throughput parity *)
-  (match (find t fair_name, find t fastpath_name) with
-  | Some fair, Some fp ->
-      let fair_tail = pct (phase fair "peak").KV.p_sojourn 99.9
-      and fp_tail = pct (phase fp "peak").KV.p_sojourn 99.9 in
-      if fair_tail > (1.0 -. peak_tail_margin) *. fp_tail then
-        err
-          "peak p99.9: %s %.0f ns does not beat %s %.0f ns by the \
-           declared %.0f%% margin"
-          fair_name fair_tail fastpath_name fp_tail
-          (100.0 *. peak_tail_margin);
-      let fair_thr = service_rate fair and fp_thr = service_rate fp in
-      let hi = Float.max fair_thr fp_thr in
-      if
-        hi > 0.0
-        && Float.abs (fair_thr -. fp_thr) > throughput_tolerance *. hi
-      then
-        err
-          "service rate: %s %.3f vs %s %.3f req/us outside the %.0f%% \
-           tolerance — the tail comparison is throughput-confounded"
-          fair_name fair_thr fastpath_name fp_thr
-          (100.0 *. throughput_tolerance)
-  | _ -> err "panel is missing %s or %s" fair_name fastpath_name);
-  List.rev !errors
-
-(* ---------- report ---------- *)
-
-let exp_id = "kv"
-
-(* every phase runs at the same worker count, so the points cannot
-   join the deterministic (lock, threads) regression key; the SLO
-   gate already ran inside clof_bench kv *)
-let join_kind = Report.Excluded_from_join
-
-let phase_names t =
-  match t.t_results with
-  | [] -> ""
-  | r :: _ ->
-      String.concat ","
-        (List.map (fun (ph : KV.phase_result) -> ph.KV.p_label) r.KV.r_phases)
-
-let to_report ?(quick = false) t =
-  let series =
-    List.map
-      (fun (r : KV.result) ->
-        {
-          Report.lock = r.KV.r_lock;
-          meta =
-            Some
-              [
-                ("phases", Report.S (phase_names t));
-                ("workers", Report.I r.KV.r_workers);
-                ("stripes", Report.I r.KV.r_stripes);
-                ("service_rate", Report.F (service_rate r));
-              ];
-          points =
-            List.map
-              (fun (ph : KV.phase_result) ->
-                {
-                  Report.threads = r.KV.r_workers;
-                  throughput = ph.KV.p_throughput;
-                  total_ops = ph.KV.p_completed;
-                  sim_ns = ph.KV.p_ns;
-                  jain = Report.jain r.KV.r_per_worker;
-                  stats = ph.KV.p_sojourn;
-                })
-              r.KV.r_phases;
-        })
-      t.t_results
+let run ?(quick = false) () =
+  let p = Platform.x86 in
+  let prm = params quick in
+  let results =
+    Exec.map
+      (fun spec -> KV.run ~platform:p ~nworkers ~spec prm)
+      (specs p)
+  in
+  let series (r : KV.result) =
+    {
+      Report.lock = r.KV.r_lock;
+      meta =
+        Some
+          [
+            ( "phases",
+              Report.S
+                (String.concat ","
+                   (List.map (fun ph -> ph.KV.p_label) r.KV.r_phases)) );
+            ("workers", Report.I r.KV.r_workers);
+            ("stripes", Report.I r.KV.r_stripes);
+            ("service_rate", Report.F (service_rate r));
+            ("offered", Report.I r.KV.r_total);
+          ];
+      points =
+        List.map
+          (fun (ph : KV.phase_result) ->
+            {
+              Report.threads = r.KV.r_workers;
+              throughput = ph.KV.p_throughput;
+              total_ops = ph.KV.p_completed;
+              sim_ns = ph.KV.p_ns;
+              jain = Report.jain r.KV.r_per_worker;
+              stats = ph.KV.p_sojourn;
+            })
+          r.KV.r_phases;
+    }
   in
   let slo =
     {
@@ -300,114 +232,141 @@ let to_report ?(quick = false) t =
     }
   in
   {
-    Report.version = Report.schema_version;
-    quick;
-    meta = None;
-    experiments =
-      [
-        {
-          Report.exp_id;
-          platform = "x86";
-          workload = "kv-zipf-openloop";
-          series = series @ [ slo ];
-        };
-      ];
+    Report.exp_id;
+    platform = "x86";
+    workload = "kv-zipf-openloop";
+    series = List.map series results @ [ slo ];
   }
 
-(* Archived-report readback for bench_check: sojourn tails per phase
-   recomputed from the points' histograms, SLO constants re-read from
-   the "slo" series — trend-watching only, the gate ran in clof_bench
-   kv. *)
-let decode ~label (r : Report.t) =
-  List.iter
-    (fun (e : Report.experiment) ->
-      if e.Report.exp_id = exp_id then begin
-        Printf.printf "bench_check: %s kv sojourn tails (%s, %s):\n" label
-          e.Report.platform e.Report.workload;
-        List.iter
-          (fun (s : Report.series) ->
-            if s.Report.lock = "slo" then begin
-              match
-                ( Report.meta_float s "low_p99_ns",
-                  Report.meta_float s "peak_tail_margin" )
-              with
-              | Some slo, Some margin ->
-                  Printf.printf
-                    "  declared: low p99 <= %.0f ns, peak p99.9 fair \
-                     margin %.0f%%\n"
-                    slo (100.0 *. margin)
-              | _ -> ()
-            end
-            else begin
-              let phases =
-                match Report.meta_str s "phases" with
-                | None | Some "" -> []
-                | Some names -> String.split_on_char ',' names
-              in
-              Printf.printf "  %-12s" s.Report.lock;
-              List.iteri
-                (fun i (p : Report.point) ->
-                  let ph =
-                    match List.nth_opt phases i with
-                    | Some ph -> ph
-                    | None -> string_of_int i
-                  in
-                  Printf.printf "  %s %7.3f req/us p99.9 %9.0f ns" ph
-                    p.Report.throughput
-                    (pct p.Report.stats 99.9))
-                s.Report.points;
-              (match Report.meta_float s "service_rate" with
-              | Some sr -> Printf.printf "  | %7.3f req/us overall" sr
-              | None -> ());
-              print_newline ()
-            end)
-          e.Report.series
-      end)
-    r.experiments
+(* ---------- readings ---------- *)
+
+let locks (e : Report.experiment) =
+  List.filter
+    (fun (s : Report.series) -> s.Report.lock <> "slo")
+    e.Report.series
+
+(* The constants the archive declares; an archive without them is
+   judged by this build's. *)
+let declared (e : Report.experiment) =
+  let get key default =
+    Option.value ~default
+      (Option.bind (Report.find_series e "slo") (fun s ->
+           Report.meta_float s key))
+  in
+  ( get "low_p99_ns" low_p99_slo_ns,
+    get "peak_tail_margin" peak_tail_margin,
+    get "throughput_tolerance" throughput_tolerance )
+
+let pct rec_ p =
+  match S.percentile_interp rec_ p with Some v -> v | None -> infinity
+
+(* sojourn percentile of one phase; a phase the series lacks reads as
+   an unbounded tail *)
+let tail (s : Report.series) label p =
+  let rec go = function
+    | l :: ls, (pt : Report.point) :: pts ->
+        if l = label then pct pt.Report.stats p else go (ls, pts)
+    | _ -> infinity
+  in
+  go (Report.meta_list s "phases", s.Report.points)
+
+let rate s = Option.value ~default:0.0 (Report.meta_float s "service_rate")
+
+(* ---------- the gate ---------- *)
+
+let gate e =
+  let slo, margin, tolerance = declared e in
+  (* 1: nobody misses the low-load p99 SLO *)
+  let low =
+    List.filter_map
+      (fun (s : Report.series) ->
+        let p99 = tail s "low-1" 99.0 in
+        if p99 > slo then
+          Some
+            (Printf.sprintf
+               "%s: low-1 p99 sojourn %.0f ns misses the %.0f ns SLO"
+               s.Report.lock p99 slo)
+        else None)
+      (locks e)
+  in
+  (* 2 + 3: the fair-vs-barging tail divergence, at throughput parity *)
+  let split =
+    match
+      (Report.find_series e fair_name, Report.find_series e fastpath_name)
+    with
+    | Some fair, Some fp ->
+        let fair_tail = tail fair "peak" 99.9
+        and fp_tail = tail fp "peak" 99.9 in
+        let fair_thr = rate fair and fp_thr = rate fp in
+        let hi = Float.max fair_thr fp_thr in
+        (if fair_tail > (1.0 -. margin) *. fp_tail then
+           [
+             Printf.sprintf
+               "peak p99.9: %s %.0f ns does not beat %s %.0f ns by the \
+                declared %.0f%% margin"
+               fair_name fair_tail fastpath_name fp_tail (100.0 *. margin);
+           ]
+         else [])
+        @
+        if hi > 0.0 && Float.abs (fair_thr -. fp_thr) > tolerance *. hi then
+          [
+            Printf.sprintf
+              "service rate: %s %.3f vs %s %.3f req/us outside the %.0f%% \
+               tolerance — the tail comparison is throughput-confounded"
+              fair_name fair_thr fastpath_name fp_thr (100.0 *. tolerance);
+          ]
+        else []
+    | _ ->
+        [ Printf.sprintf "panel is missing %s or %s" fair_name fastpath_name ]
+  in
+  low @ split
 
 (* ---------- rendering ---------- *)
 
-let pp ppf t =
+let pp ppf (e : Report.experiment) =
+  let locks = locks e in
+  let first = List.hd locks in
+  let count key = Option.value ~default:0 (Report.meta_int first key) in
   Format.pp_print_string ppf
     (Render.section
        (Printf.sprintf
-          "kv: sharded KV service, open-loop sojourn tails (x86, %d \
+          "kv: sharded KV service, open-loop sojourn tails (%s, %d \
            workers, %d stripes)"
-          t.t_nworkers t.t_params.KV.stripes));
-  let phases = (List.hd t.t_results).KV.r_phases in
+          e.Report.platform (count "workers") (count "stripes")));
   let header =
     "lock"
     :: List.concat_map
-         (fun (ph : KV.phase_result) ->
-           [ ph.KV.p_label ^ " req/us"; "p99"; "p99.9" ])
-         phases
+         (fun ph -> [ ph ^ " req/us"; "p99"; "p99.9" ])
+         (Report.meta_list first "phases")
     @ [ "svc req/us" ]
   in
   let rows =
     List.map
-      (fun (r : KV.result) ->
-        ( r.KV.r_lock,
+      (fun (s : Report.series) ->
+        ( s.Report.lock,
           List.concat_map
-            (fun (ph : KV.phase_result) ->
+            (fun (pt : Report.point) ->
               [
-                Printf.sprintf "%.3f" ph.KV.p_throughput;
-                Printf.sprintf "%.0f" (pct ph.KV.p_sojourn 99.0);
-                Printf.sprintf "%.0f" (pct ph.KV.p_sojourn 99.9);
+                Printf.sprintf "%.3f" pt.Report.throughput;
+                Printf.sprintf "%.0f" (pct pt.Report.stats 99.0);
+                Printf.sprintf "%.0f" (pct pt.Report.stats 99.9);
               ])
-            r.KV.r_phases
-          @ [ Printf.sprintf "%.3f" (service_rate r) ] ))
-      t.t_results
+            s.Report.points
+          @ [ Printf.sprintf "%.3f" (rate s) ] ))
+      locks
   in
   Format.pp_print_string ppf (Render.text_table ~header ~rows);
   Format.fprintf ppf
     "sojourn = enqueue -> completion (ns); offered %d req total@."
-    (List.fold_left (fun a r -> a + r.KV.r_total) 0 t.t_results
-     / max 1 (List.length t.t_results));
-  match gate t with
+    (List.fold_left
+       (fun a s -> a + Option.value ~default:0 (Report.meta_int s "offered"))
+       0 locks
+    / max 1 (List.length locks));
+  match gate e with
   | [] ->
+      let slo, margin, _ = declared e in
       Format.fprintf ppf
         "kv gate: all locks within the %.0f ns low-load p99 SLO; %s \
          beats %s's peak p99.9 by >= %.0f%% at comparable service rate@."
-        low_p99_slo_ns fair_name fastpath_name
-        (100.0 *. peak_tail_margin)
+        slo fair_name fastpath_name (100.0 *. margin)
   | errs -> List.iter (fun e -> Format.fprintf ppf "kv gate: %s@." e) errs

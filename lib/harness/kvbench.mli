@@ -8,8 +8,8 @@
 
 (** {2 Declared gate constants}
 
-    Archived in the report's ["slo"] series meta so bench_check
-    re-reads what was declared instead of hardcoding it. *)
+    Archived in the report's ["slo"] series meta, so {!gate} and
+    {!pp} apply the rule an archive was produced under. *)
 
 val low_p99_slo_ns : float
 (** Low-phase p99 sojourn ceiling (ns) every panel lock must meet. *)
@@ -25,41 +25,25 @@ val throughput_tolerance : float
 val fair_name : string
 val fastpath_name : string
 
-type t = {
-  t_quick : bool;
-  t_nworkers : int;
-  t_params : Clof_workloads.Kvservice.params;
-  t_results : Clof_workloads.Kvservice.result list;
-}
-
-val run : ?quick:bool -> unit -> t
-(** Run the panel on the simulated x86 box (one
-    {!Clof_workloads.Kvservice.run} per lock, in parallel via
-    {!Clof_exec.Exec}). Deterministic: results are byte-identical for
-    every job count. *)
-
-val gate : t -> string list
-(** The CI gate: (1) every lock's low-phase p99 sojourn within
-    {!low_p99_slo_ns}; (2) [fair-h1]'s peak p99.9 beats
-    [fp-clof<4>]'s by {!peak_tail_margin}; (3) their whole-run service
-    rates agree within {!throughput_tolerance}. Empty means pass. *)
-
 val exp_id : string
 (** ["kv"]. *)
 
-val join_kind : Report.join_kind
-(** {!Report.Excluded_from_join}: every phase shares the worker count,
-    so points cannot join the (lock, threads) regression key. *)
+val run : ?quick:bool -> unit -> Report.experiment
+(** Run the panel on the simulated x86 box (one
+    {!Clof_workloads.Kvservice.run} per lock, in parallel via
+    {!Clof_exec.Exec}) and encode it: one series per lock (one point
+    per phase; the point's stats histogram is the phase's sojourn
+    recorder; meta [phases], [workers], [stripes], [service_rate],
+    [offered]) plus a pointless ["slo"] series carrying the declared
+    gate constants. Deterministic: byte-identical for every job
+    count. *)
 
-val to_report : ?quick:bool -> t -> Report.t
-(** One series per lock (one point per phase; the point's stats
-    histogram is the phase's sojourn recorder) plus a pointless
-    ["slo"] series carrying the declared gate constants in typed
-    meta. *)
+val gate : Report.experiment -> string list
+(** The CI gate, under the constants the ["slo"] series declares:
+    (1) every lock's low-phase p99 sojourn within {!low_p99_slo_ns};
+    (2) [fair-h1]'s peak p99.9 beats [fp-clof<4>]'s by
+    {!peak_tail_margin}; (3) their whole-run service rates agree
+    within {!throughput_tolerance}. Empty means pass. *)
 
-val decode : label:string -> Report.t -> unit
-(** Archived-report readback for bench_check: per-phase sojourn tails
-    recomputed from the points' histograms. Trend-watching only — the
-    gate runs in [clof_bench kv]. *)
-
-val pp : Format.formatter -> t -> unit
+val pp : Format.formatter -> Report.experiment -> unit
+(** Per-phase sojourn table, offered load and the gate verdict. *)

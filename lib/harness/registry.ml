@@ -1,29 +1,36 @@
 (* The experiment registry: every report-producing experiment declares
    itself here once — dispatch name, archived experiment ids, join
-   policy, canonical gate run, archive decoder — and clof_bench and
-   bench_check both consume the table instead of keeping their own
-   id lists and per-experiment special cases. *)
+   policy, canonical run, printer and gate — and clof_bench and
+   bench_check both consume the table instead of keeping their own id
+   lists and per-experiment special cases. *)
 
 type entry = {
   id : string;
   doc : string;
   exp_ids : string list;
-  kind : Report.join_kind;
+  joins : bool;
   default_out : string;
-  run :
-    quick:bool ->
-    Format.formatter ->
-    (Report.t * string list, string) result;
-  decode : label:string -> Report.t -> unit;
+  run : quick:bool -> Report.t;
+  pp : Format.formatter -> Report.experiment -> unit;
+  gate : Report.experiment -> string list;
 }
 
-let flush_pp ppf f =
-  let r = f ppf in
-  Format.pp_print_flush ppf ();
-  r
+(* An own-gate experiment: one archived experiment, printed and judged
+   by its module, kept out of the cross-run join. *)
+let own ~id ~doc ~exp_id ~default_out ~run ~pp ~gate =
+  {
+    id;
+    doc;
+    exp_ids = [ exp_id ];
+    joins = false;
+    default_out;
+    run = (fun ~quick -> Report.of_experiment ~quick (run ~quick));
+    pp;
+    gate;
+  }
 
 (* The gated lock panel: its points are the regression join, so there
-   is nothing to decode beyond them. *)
+   is nothing to print or judge beyond them. *)
 let report_entry =
   {
     id = "report";
@@ -31,168 +38,90 @@ let report_entry =
       "representative lock panel: throughput, fairness and per-level \
        counters per (lock, threads) point";
     exp_ids = List.map fst Report.ids;
-    kind = Report.Gated_series;
+    joins = true;
     default_out = "bench_report.json";
     run =
-      (fun ~quick _ppf ->
-        Result.map
-          (fun r -> (r, []))
-          (Report.run ~quick (List.map fst Report.ids)));
-    decode = (fun ~label:_ _ -> ());
-  }
-
-let sim_entry =
-  {
-    id = "sim";
-    doc = "discrete-event engine speed: events/sec and words/event";
-    exp_ids = [ Simbench.exp_id ];
-    kind = Simbench.join_kind;
-    default_out = "BENCH_sim.json";
-    run =
-      (fun ~quick ppf ->
-        flush_pp ppf (fun ppf ->
-            let samples = Simbench.run ~quick () in
-            Simbench.pp ppf samples;
-            Ok (Simbench.to_report samples, [])));
-    decode = Simbench.decode;
-  }
-
-let verify_entry =
-  {
-    id = "verify";
-    doc = "model-check the verification suite (DPOR, all memory modes)";
-    exp_ids = [ Verifybench.exp_id ];
-    kind = Verifybench.join_kind;
-    default_out = "BENCH_verify.json";
-    run =
-      (fun ~quick ppf ->
-        flush_pp ppf (fun ppf ->
-            let outcomes = Verifybench.run ~quick () in
-            Verifybench.pp ppf outcomes;
-            let bad =
-              List.map
-                (fun (o : Clof_verify.Scenarios.outcome) ->
-                  o.Clof_verify.Scenarios.o_entry
-                    .Clof_verify.Scenarios.e_named
-                    .Clof_verify.Scenarios.sname)
-                (Verifybench.gate outcomes)
-            in
-            Ok (Verifybench.to_report ~quick outcomes, bad)));
-    decode = Verifybench.decode;
-  }
-
-let xval_entry =
-  {
-    id = "xval";
-    doc = "sim-vs-native rank correlation on this host";
-    exp_ids = [ Xval.exp_id ];
-    kind = Xval.join_kind;
-    default_out = "BENCH_native.json";
-    run =
-      (fun ~quick ppf ->
-        flush_pp ppf (fun ppf ->
-            match Xval.run ~quick () with
-            | exception Clof_native.Native.Lock_failure msg ->
-                Error ("native backend: " ^ msg)
-            | exception Clof_workloads.Workload.Lock_failure msg ->
-                Error ("simulated backend: " ^ msg)
-            | x ->
-                Xval.pp ppf x;
-                Ok (Xval.to_report ~quick x, Xval.gate x)));
-    decode = Xval.decode;
-  }
-
-let faults_entry =
-  {
-    id = "faults";
-    doc = "fault-injection matrix with recovery classification";
-    exp_ids = [ Faultbench.exp_id ];
-    kind = Faultbench.join_kind;
-    default_out = "BENCH_faults.json";
-    run =
-      (fun ~quick ppf ->
-        flush_pp ppf (fun ppf ->
-            Experiments.set_quick quick;
-            ignore (Experiments.run ppf "faults");
-            let rows = Experiments.fault_matrix () in
-            let bad =
-              List.map
-                (fun (v : Experiments.fault_violation) ->
-                  Printf.sprintf "%s [%s]: %s" v.Experiments.fv_lock
-                    v.Experiments.fv_fault v.Experiments.fv_what)
-                (Experiments.fault_gate rows)
-            in
-            Ok (Faultbench.to_report ~quick rows, bad)));
-    decode = Faultbench.decode;
-  }
-
-let adapt_entry =
-  {
-    id = "adapt";
-    doc = "contention-adaptive composition on the phase-shift workload";
-    exp_ids = [ Adaptbench.exp_id ];
-    kind = Adaptbench.join_kind;
-    default_out = "BENCH_adaptive.json";
-    run =
-      (fun ~quick ppf ->
-        flush_pp ppf (fun ppf ->
-            let t = Adaptbench.run ~quick () in
-            Adaptbench.pp ppf t;
-            Ok (Adaptbench.to_report ~quick t, Adaptbench.gate t)));
-    decode = Adaptbench.decode;
-  }
-
-let kv_entry =
-  {
-    id = "kv";
-    doc = "sharded KV service: open-loop sojourn tails under SLOs";
-    exp_ids = [ Kvbench.exp_id ];
-    kind = Kvbench.join_kind;
-    default_out = "BENCH_kv.json";
-    run =
-      (fun ~quick ppf ->
-        flush_pp ppf (fun ppf ->
-            match Kvbench.run ~quick () with
-            | exception Clof_workloads.Workload.Lock_failure msg ->
-                Error ("kv service: " ^ msg)
-            | t ->
-                Kvbench.pp ppf t;
-                Ok (Kvbench.to_report ~quick t, Kvbench.gate t)));
-    decode = Kvbench.decode;
+      (fun ~quick ->
+        Result.get_ok (Report.run ~quick (List.map fst Report.ids)));
+    pp = (fun _ _ -> ());
+    gate = (fun _ -> []);
   }
 
 let all =
   [
-    report_entry; sim_entry; verify_entry; xval_entry; faults_entry;
-    adapt_entry; kv_entry;
+    report_entry;
+    own ~id:"sim" ~doc:"discrete-event engine speed: events/sec and words/event"
+      ~exp_id:Simbench.exp_id ~default_out:"BENCH_sim.json"
+      ~run:(fun ~quick -> Simbench.run ~quick ())
+      ~pp:Simbench.pp
+      ~gate:(fun _ -> []);
+    own ~id:"verify"
+      ~doc:"model-check the verification suite (DPOR, all memory modes)"
+      ~exp_id:Verifybench.exp_id ~default_out:"BENCH_verify.json"
+      ~run:(fun ~quick -> Verifybench.run ~quick ())
+      ~pp:Verifybench.pp ~gate:Verifybench.gate;
+    own ~id:"xval" ~doc:"sim-vs-native rank correlation on this host"
+      ~exp_id:Xval.exp_id ~default_out:"BENCH_native.json"
+      ~run:(fun ~quick -> Xval.run ~quick ())
+      ~pp:Xval.pp ~gate:Xval.gate;
+    own ~id:"faults" ~doc:"fault-injection matrix with recovery classification"
+      ~exp_id:Faultbench.exp_id ~default_out:"BENCH_faults.json"
+      ~run:(fun ~quick -> Faultbench.run ~quick ())
+      ~pp:Faultbench.pp ~gate:Faultbench.gate;
+    own ~id:"adapt"
+      ~doc:"contention-adaptive composition on the phase-shift workload"
+      ~exp_id:Adaptbench.exp_id ~default_out:"BENCH_adaptive.json"
+      ~run:(fun ~quick -> Adaptbench.run ~quick ())
+      ~pp:Adaptbench.pp ~gate:Adaptbench.gate;
+    own ~id:"kv" ~doc:"sharded KV service: open-loop sojourn tails under SLOs"
+      ~exp_id:Kvbench.exp_id ~default_out:"BENCH_kv.json"
+      ~run:(fun ~quick -> Kvbench.run ~quick ())
+      ~pp:Kvbench.pp ~gate:Kvbench.gate;
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
-let owner exp_id = List.find_opt (fun e -> List.mem exp_id e.exp_ids) all
 
-let kind_of exp_id =
-  match owner exp_id with
-  | Some e -> e.kind
-  | None -> Report.Gated_series
+let joins exp_id =
+  match List.find_opt (fun e -> List.mem exp_id e.exp_ids) all with
+  | Some e -> e.joins
+  | None -> true
 
 let gated (r : Report.t) =
   {
     r with
     Report.experiments =
       List.filter
-        (fun (e : Report.experiment) ->
-          kind_of e.Report.exp_id = Report.Gated_series)
+        (fun (e : Report.experiment) -> joins e.Report.exp_id)
         r.Report.experiments;
   }
 
-let decode_either ~baseline ~current =
-  let archived (r : Report.t) e =
-    List.exists
-      (fun (x : Report.experiment) -> List.mem x.Report.exp_id e.exp_ids)
-      r.Report.experiments
-  in
-  List.iter
+let owned e (r : Report.t) =
+  List.filter
+    (fun (x : Report.experiment) -> List.mem x.Report.exp_id e.exp_ids)
+    r.Report.experiments
+
+let recheck ppf ~baseline ~current =
+  List.concat_map
     (fun e ->
-      if archived current e then e.decode ~label:"current" current
-      else if archived baseline e then e.decode ~label:"baseline" baseline)
+      let print label exps =
+        List.iter
+          (fun (x : Report.experiment) ->
+            Format.fprintf ppf "bench_check: %s %s (%s, %s):@." label
+              x.Report.exp_id x.Report.platform x.Report.workload;
+            e.pp ppf x)
+          exps
+      in
+      if e.joins then []
+      else
+        match (owned e current, owned e baseline) with
+        | [], [] -> []
+        | [], base ->
+            print "baseline" base;
+            []
+        | cur, _ ->
+            print "current" cur;
+            List.concat_map
+              (fun x ->
+                List.map (Printf.sprintf "%s gate: %s" e.id) (e.gate x))
+              cur)
     all

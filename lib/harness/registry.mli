@@ -2,13 +2,13 @@
 
     One {!entry} per report-producing experiment: the id under which
     [clof_bench] dispatches it and under which its archive is
-    recognised, the join policy that tells [bench_check] whether its
-    points enter the cross-run regression join, the canonical gate
-    run, and the archived-report decoder. [clof_bench] builds its
+    recognised, whether its points enter [bench_check]'s cross-run
+    regression join, the canonical run, and the one printer and one
+    gate over the archived experiment. [clof_bench] builds its
     subcommands and its [list] output from {!all}; [bench_check]
-    strips non-gateable experiments with {!gated} and prints archive
-    readbacks with {!decode_either} — neither matches experiment-id
-    strings anywhere. *)
+    strips non-joining experiments with {!gated} and re-prints and
+    re-judges the rest with {!recheck} — neither matches
+    experiment-id strings anywhere. *)
 
 type entry = {
   id : string;
@@ -18,25 +18,24 @@ type entry = {
   exp_ids : string list;
       (** every [Report.experiment] id this entry's archives use
           (usually [[id]]; the gated panel writes one per platform) *)
-  kind : Report.join_kind;
-      (** join policy for the archived points (the module's own
-          [join_kind]) *)
+  joins : bool;
+      (** [true] for real (lock, threads) measurements that join the
+          baseline-vs-current comparison; [false] for experiments
+          judged by their own {!entry.gate} (phase matrices, checker
+          counters, wall clock on shared runners) *)
   default_out : string;  (** CI artifact name ([BENCH_*.json]) *)
-  run :
-    quick:bool ->
-    Format.formatter ->
-    (Report.t * string list, string) result;
-      (** The canonical CI invocation: run the experiment, render the
-          human reading to the formatter, and return the report to
-          archive together with its gate violations (empty = gate
-          passed). [Error] means the experiment could not run at all
-          (e.g. a lock wedged); the report is still written on a gate
-          failure so CI archives the failing evidence. Subcommands
-          with extra knobs ([verify --seed], [xval --min-corr]) layer
-          them on top of the same module calls in [clof_bench]. *)
-  decode : label:string -> Report.t -> unit;
-      (** Print the experiment's readback from an archived report —
-          the [bench_check] side of the channel. *)
+  run : quick:bool -> Report.t;
+      (** The canonical CI invocation. May raise the backends'
+          [Lock_failure] when a lock breaks. Subcommands with extra
+          knobs ([verify --seed], [xval --min-corr]) call the module's
+          own [run] instead and share everything after it. *)
+  pp : Format.formatter -> Report.experiment -> unit;
+      (** The experiment's human reading, from the report alone: what
+          [clof_bench <id>] prints and what [bench_check] re-prints
+          from an archive. *)
+  gate : Report.experiment -> string list;
+      (** Violations (empty = pass), from the report alone, under the
+          constants the archive declares. *)
 }
 
 val all : entry list
@@ -45,18 +44,23 @@ val all : entry list
 val find : string -> entry option
 (** Look up an entry by its {!entry.id}. *)
 
-val kind_of : string -> Report.join_kind
-(** Join policy for an archived experiment id. Unknown ids default to
-    {!Report.Gated_series}: an experiment that forgets to register
-    fails the cross-run join loudly instead of silently escaping
-    it. *)
+val joins : string -> bool
+(** Join policy for an archived experiment id. Unknown ids join: an
+    experiment that forgets to register fails the cross-run join
+    loudly instead of silently escaping it. *)
 
 val gated : Report.t -> Report.t
-(** Strip every experiment whose {!kind_of} is not
-    {!Report.Gated_series} — what remains is exactly what
-    [bench_check]'s regression join may compare across runs. *)
+(** Strip every experiment that does not {!joins} — what remains is
+    exactly what [bench_check]'s regression join may compare across
+    runs. *)
 
-val decode_either : baseline:Report.t -> current:Report.t -> unit
-(** For every registered experiment: print its decoded readback from
-    [current] if the experiment was archived there, else from
-    [baseline] if archived there, else nothing. *)
+val owned : entry -> Report.t -> Report.experiment list
+(** The entry's experiments in a report. *)
+
+val recheck :
+  Format.formatter -> baseline:Report.t -> current:Report.t -> string list
+(** For every registered non-joining experiment: print it (a
+    [bench_check:] label line, then {!entry.pp}) from [current] if it
+    was archived there, else from [baseline] if archived there, else
+    nothing. Returns the gate violations of the [current] copies, each
+    prefixed with ["<id> gate: "]. *)

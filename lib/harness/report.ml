@@ -11,9 +11,8 @@ module RT = Clof_core.Runtime
 module S = Clof_stats.Stats
 module J = Clof_stats.Json
 
-(* v2 added the optional typed [meta] field on series (and the
-   [join_kind] classification consumed by the experiment registry);
-   v1 documents still decode, with [meta = None] on every series. *)
+(* v2 added the optional typed [meta] field on series; v1 documents
+   still decode, with [meta = None] on every series. *)
 let schema_version = 2
 
 let min_schema_version = 1
@@ -36,16 +35,6 @@ type attr = I of int | F of float | S of string | B of bool
 type series_meta = (string * attr) list
 type series = { lock : string; meta : series_meta option; points : point list }
 
-(* How an experiment's series participate in bench_check's cross-run
-   regression join. [Gated_series]: points are real (threads,
-   throughput, jain) measurements and join the baseline-vs-current
-   comparison. [Report_only]: points are well-formed measurements but
-   gate-meaningless across runs (e.g. wall clock on a shared CI
-   runner). [Excluded_from_join]: points reuse the schema for
-   structure only (phase matrices, exploration counters) and must
-   never be keyed across runs. *)
-type join_kind = Gated_series | Report_only | Excluded_from_join
-
 type experiment = {
   exp_id : string;
   platform : string;
@@ -66,7 +55,7 @@ type t = {
   experiments : experiment list;
 }
 
-(* ---------- meta accessors (for decoders) ---------- *)
+(* ---------- meta accessors (for printers and gates) ---------- *)
 
 let meta_find (s : series) key = Option.bind s.meta (List.assoc_opt key)
 
@@ -84,6 +73,16 @@ let meta_str s key =
 
 let meta_bool s key =
   match meta_find s key with Some (B b) -> Some b | _ -> None
+
+let meta_list s key =
+  match meta_str s key with
+  | None | Some "" -> []
+  | Some v -> String.split_on_char ',' v
+
+let find_series e lock = List.find_opt (fun s -> s.lock = lock) e.series
+
+let of_experiment ~quick e =
+  { version = schema_version; quick; meta = None; experiments = [ e ] }
 
 let jain counts =
   let xs = Array.map float_of_int counts in

@@ -36,15 +36,6 @@ type series_meta = (string * attr) list
 
 type series = { lock : string; meta : series_meta option; points : point list }
 
-type join_kind = Gated_series | Report_only | Excluded_from_join
-(** How an experiment's series participate in [bench_check]'s
-    cross-run regression join: [Gated_series] points are real
-    measurements and join the comparison; [Report_only] points are
-    well-formed but gate-meaningless across runs (wall clock on shared
-    runners); [Excluded_from_join] series reuse the schema for
-    structure only and must never be keyed across runs. The experiment
-    registry ({!Registry}) assigns one per experiment. *)
-
 type experiment = {
   exp_id : string;  (** one of {!ids} *)
   platform : string;
@@ -73,6 +64,10 @@ type t = {
   experiments : experiment list;
 }
 
+val of_experiment : quick:bool -> experiment -> t
+(** A current-version report holding one experiment and no harness
+    meta — what every own-gate bench archives. *)
+
 val meta_find : series -> string -> attr option
 val meta_int : series -> string -> int option
 val meta_float : series -> string -> float option
@@ -82,6 +77,13 @@ val meta_str : series -> string -> string option
 val meta_bool : series -> string -> bool option
 (** Typed lookups into a series' metadata; [None] when the series has
     no meta block, the key is absent, or the value has another type. *)
+
+val meta_list : series -> string -> string list
+(** A comma-separated [S] value split into its items; [[]] when the key
+    is absent or empty. *)
+
+val find_series : experiment -> string -> series option
+(** The experiment's series with this [lock] name. *)
 
 val jain : int array -> float
 (** Jain fairness index: 1.0 = perfectly fair, 1/n = one thread owns

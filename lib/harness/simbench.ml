@@ -7,7 +7,12 @@
    built from — the two-thread ping-pong (wake/transfer path) and the
    contended scripted workload (full lock traffic). Results are
    wall-clock dependent, so BENCH_sim.json is tracked as a trajectory
-   (bench_check prints it) and never diffed or gated. *)
+   (bench_check prints it) and never diffed or gated.
+
+   Report encoding: one series per loop with one point ([total_ops] =
+   engine events, [sim_ns] = wall-clock ns, [throughput] = events per
+   wall-clock us) and meta ["events_per_us"], ["words_per_event"] and
+   ["runs"]. *)
 
 open Clof_topology
 module E = Clof_sim.Engine
@@ -15,15 +20,6 @@ module M = Clof_sim.Sim_mem
 module W = Clof_workloads.Workload
 module S = Clof_stats.Stats
 module RT = Clof_core.Runtime
-
-type sample = {
-  label : string;
-  runs : int; (* simulations executed *)
-  events : int; (* engine events across all runs *)
-  wall_s : float;
-  events_per_us : float; (* thousands of events per wall ms = ev/us *)
-  words_per_event : float; (* minor-heap words allocated per event *)
-}
 
 (* One ping-pong simulation; returns the engine event count. The body
    mirrors Workloads.Pingpong but reads the outcome instead of
@@ -43,7 +39,9 @@ let pingpong_events ~duration ~platform cpu1 cpu2 =
   in
   o.E.events
 
-let time_loop ~label ~runs (run1 : unit -> int) =
+let exp_id = "sim-throughput"
+
+let time_loop ~label ~threads ~runs (run1 : unit -> int) =
   (* warm caches and code paths outside the measured window *)
   ignore (run1 ());
   Gc.minor ();
@@ -56,14 +54,29 @@ let time_loop ~label ~runs (run1 : unit -> int) =
   let wall_s = Clof_exec.Exec.now_s () -. t0 in
   let words = Gc.minor_words () -. w0 in
   let ev = max 1 !events in
+  let events_per_us =
+    float_of_int ev /. (Float.max wall_s 1e-9 *. 1_000_000.0)
+  in
   {
-    label;
-    runs;
-    events = !events;
-    wall_s;
-    events_per_us =
-      float_of_int ev /. (Float.max wall_s 1e-9 *. 1_000_000.0);
-    words_per_event = words /. float_of_int ev;
+    Report.lock = label;
+    meta =
+      Some
+        [
+          ("events_per_us", Report.F events_per_us);
+          ("words_per_event", Report.F (words /. float_of_int ev));
+          ("runs", Report.I runs);
+        ];
+    points =
+      [
+        {
+          Report.threads;
+          throughput = events_per_us;
+          total_ops = !events;
+          sim_ns = int_of_float (wall_s *. 1e9);
+          jain = 1.0;
+          stats = S.create ();
+        };
+      ];
   }
 
 let scripted_spec () =
@@ -74,112 +87,33 @@ let run ?(quick = false) () =
   let reps = if quick then 30 else 150 in
   let spec = scripted_spec () in
   let params = { W.leveldb with W.duration = 150_000 } in
-  [
-    time_loop ~label:"pingpong" ~runs:(4 * reps) (fun () ->
-        pingpong_events ~duration:200_000 ~platform:p 0 24);
-    time_loop ~label:"scripted" ~runs:reps (fun () ->
-        (W.run ~platform:p ~nthreads:8 ~spec params).W.events);
-  ]
-
-(* ---------- report plumbing ----------
-
-   Samples are shipped through the existing Report schema so
-   bench_check can join and print them: one series per inner loop,
-   where [throughput] carries events per wall-clock microsecond, plus a
-   parallel "<label>/alloc" series whose [throughput] carries minor
-   words per event. [total_ops] = events, [sim_ns] = wall-clock ns. *)
-
-let exp_id = "sim-throughput"
-
-(* the samples are genuine measurements, but of the engine's wall
-   clock — a shared CI runner's wall clock must never gate, so the
-   series are archived as a trajectory and kept out of the cross-run
-   regression join *)
-let join_kind = Report.Report_only
-
-let to_report samples =
-  let point ~threads ~value ~events ~wall_s =
-    {
-      Report.threads;
-      throughput = value;
-      total_ops = events;
-      sim_ns = int_of_float (wall_s *. 1e9);
-      jain = 1.0;
-      stats = S.create ();
-    }
-  in
-  let series =
-    List.concat_map
-      (fun s ->
-        let threads = if s.label = "pingpong" then 2 else 8 in
-        [
-          {
-            Report.lock = s.label;
-            meta = None;
-            points =
-              [
-                point ~threads ~value:s.events_per_us ~events:s.events
-                  ~wall_s:s.wall_s;
-              ];
-          };
-          {
-            Report.lock = s.label ^ "/alloc";
-            meta = None;
-            points =
-              [
-                point ~threads ~value:s.words_per_event ~events:s.events
-                  ~wall_s:s.wall_s;
-              ];
-          };
-        ])
-      samples
-  in
   {
-    Report.version = Report.schema_version;
-    quick = false;
-    meta = None;
-    experiments =
+    Report.exp_id;
+    platform = Topology.name p.Platform.topo;
+    workload = "engine-hot-path";
+    series =
       [
-        {
-          Report.exp_id;
-          platform = Topology.name Platform.x86.Platform.topo;
-          workload = "engine-hot-path";
-          series;
-        };
+        time_loop ~label:"pingpong" ~threads:2 ~runs:(4 * reps) (fun () ->
+            pingpong_events ~duration:200_000 ~platform:p 0 24);
+        time_loop ~label:"scripted" ~threads:8 ~runs:reps (fun () ->
+            (W.run ~platform:p ~nthreads:8 ~spec params).W.events);
       ];
   }
 
-(* Engine-speed readback for bench_check: one line per series so the
-   CI log still shows the trajectory that no longer joins the gate. *)
-let decode ~label (r : Report.t) =
-  List.iter
-    (fun (e : Report.experiment) ->
-      if e.Report.exp_id = exp_id then begin
-        Printf.printf "bench_check: %s engine throughput (%s):\n" label
-          e.Report.workload;
-        List.iter
-          (fun (s : Report.series) ->
-            List.iter
-              (fun (p : Report.point) ->
-                Printf.printf "  %-16s %9d events  %8.2f %s\n" s.Report.lock
-                  p.Report.total_ops p.Report.throughput
-                  (if String.ends_with ~suffix:"/alloc" s.Report.lock then
-                     "minor words/event"
-                   else "events/us"))
-              s.Report.points)
-          e.Report.series
-      end)
-    r.experiments
-
-let pp ppf samples =
+let pp ppf (e : Report.experiment) =
   Format.pp_print_string ppf
     (Render.section
        "sim-throughput: discrete-event engine speed (wall clock, not \
         simulated)");
   List.iter
-    (fun s ->
+    (fun (s : Report.series) ->
+      let f key = Option.value ~default:0.0 (Report.meta_float s key) in
       Format.fprintf ppf
         "%-10s %9d events in %d runs  %8.2f events/us  %6.2f minor \
          words/event@."
-        s.label s.events s.runs s.events_per_us s.words_per_event)
-    samples
+        s.Report.lock
+        (List.fold_left (fun a (p : Report.point) -> a + p.Report.total_ops) 0
+           s.Report.points)
+        (Option.value ~default:0 (Report.meta_int s "runs"))
+        (f "events_per_us") (f "words_per_event"))
+    e.Report.series

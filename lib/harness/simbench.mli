@@ -2,39 +2,20 @@
 
     Measures wall-clock simulated-events/sec and minor-heap words
     allocated per event on the engine's two inner loops (ping-pong and
-    the contended scripted workload), and ships the samples through the
+    the contended scripted workload), and ships them through the
     {!Report} schema as [BENCH_sim.json] so the trajectory can be
     archived and printed by [bench_check]. Wall-clock dependent: never
     part of a determinism diff or a regression gate. *)
 
-type sample = {
-  label : string;  (** ["pingpong"] or ["scripted"] *)
-  runs : int;  (** simulations executed inside the timed window *)
-  events : int;  (** engine events across all runs *)
-  wall_s : float;
-  events_per_us : float;  (** simulated events per wall-clock {e µs} *)
-  words_per_event : float;  (** minor words allocated per event *)
-}
-
-val run : ?quick:bool -> unit -> sample list
-(** Run both loops ([quick] shrinks the repetition count). Must not be
-    called from inside a simulation. *)
-
 val exp_id : string
 (** ["sim-throughput"]. *)
 
-val join_kind : Report.join_kind
-(** {!Report.Report_only}: genuine measurements, but of wall clock on
-    whatever machine produced the report — archived and printed, never
-    joined across runs. *)
+val run : ?quick:bool -> unit -> Report.experiment
+(** Run both loops ([quick] shrinks the repetition count): one series
+    per loop (["pingpong"], ["scripted"]) with one point ([total_ops] =
+    engine events, [sim_ns] = wall-clock ns) and meta
+    ["events_per_us"] (per wall-clock {e µs}), ["words_per_event"]
+    (minor words) and ["runs"]. Must not be called from inside a
+    simulation. *)
 
-val to_report : sample list -> Report.t
-(** One experiment [sim-throughput] with a series per sample
-    ([throughput] = events/µs) plus a ["<label>/alloc"] series
-    ([throughput] = minor words/event). *)
-
-val decode : label:string -> Report.t -> unit
-(** Print the engine-speed trajectory read back from a report (the
-    [bench_check] side of the channel). *)
-
-val pp : Format.formatter -> sample list -> unit
+val pp : Format.formatter -> Report.experiment -> unit

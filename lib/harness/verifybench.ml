@@ -3,20 +3,52 @@
    exploration statistics through the Report schema as
    BENCH_verify.json.
 
-   Each scenario becomes one series named "<group>/<scenario>" with no
+   Each scenario becomes one series named by the scenario with no
    points: the checker's counters travel in the series' typed [meta]
-   block (schema v2) — executions, steps, executions-per-wall-second,
-   pruned/sleep/races/complete, and the ok / exhaustive verdicts.
+   block (schema v2) — group, executions, steps, processor seconds,
+   executions-per-second, pruned/sleep/races/complete, the truncated
+   / exhaustive flags, the violation found (absent when none) and the
+   ok verdict.
 
-   The verdict gate is separate from the report: CI fails on any
-   outcome whose verdict does not match the scenario's expectation
-   (a clean pass for ordinary scenarios, a found violation for the
-   seeded exhibits), never on the statistics. *)
+   The verdict gate is separate from the statistics: CI fails on any
+   scenario whose verdict does not match its expectation (a clean
+   pass for ordinary scenarios, a found violation for the seeded
+   exhibits), never on the counters. *)
 
 module S = Clof_verify.Scenarios
 module C = Clof_verify.Checker
 
-type outcome = S.outcome
+let exp_id = "verify"
+let strategy_name = function C.Naive -> "naive" | C.Dpor -> "dpor"
+
+let series (o : S.outcome) =
+  let r = o.S.o_report in
+  {
+    Report.lock = o.S.o_entry.S.e_named.S.sname;
+    meta =
+      Some
+        ([
+           ("group", Report.S (S.group_tag o.S.o_entry.S.e_group));
+           ("executions", Report.I r.C.executions);
+           ("steps", Report.I r.C.steps);
+           ("seconds", Report.F r.C.seconds);
+           ( "per_s",
+             Report.F
+               (float_of_int r.C.executions /. Float.max r.C.seconds 1e-9) );
+           ("ok", Report.B o.S.o_ok);
+           ("pruned", Report.I r.C.pruned);
+           ("sleep", Report.I r.C.sleep_hits);
+           ("races", Report.I r.C.races);
+           ("complete", Report.I r.C.complete);
+           ("truncated", Report.B r.C.truncated);
+           ("exhaustive", Report.B r.C.exhaustive);
+         ]
+        @
+        match r.C.violation with
+        | Some (v, _) -> [ ("violation", Report.S (C.violation_to_string v)) ]
+        | None -> []);
+    points = [];
+  }
 
 let run ?(quick = false) ?strategy ?mode () =
   let entries = S.suite ~quick ?strategy () in
@@ -28,103 +60,54 @@ let run ?(quick = false) ?strategy ?mode () =
           (fun e -> C.Config.mode e.S.e_named.S.config = m)
           entries
   in
-  S.run_suite ~map:Clof_exec.Exec.map entries
-
-let gate outcomes = List.filter (fun o -> not o.S.o_ok) outcomes
-
-let strategy_name = function C.Naive -> "naive" | C.Dpor -> "dpor"
-
-let exp_id = "verify"
-
-(* checker counters depend on schedule budgets and wall clock; the
-   verdicts are gated by clof_bench verify itself *)
-let join_kind = Report.Excluded_from_join
-
-let to_report ?(quick = false) outcomes =
-  let series =
-    List.map
-      (fun o ->
-        let r = o.S.o_report in
-        let per_s =
-          float_of_int r.C.executions /. Float.max r.C.seconds 1e-9
-        in
-        {
-          (* scenario names are unique and already carry their group
-             ("base/tkt ...", "induction/clof<2> ..."); exhibits are
-             the only group with bare names *)
-          Report.lock =
-            (let name = o.S.o_entry.S.e_named.S.sname in
-             if String.contains name '/' then name
-             else S.group_tag o.S.o_entry.S.e_group ^ "/" ^ name);
-          meta =
-            Some
-              [
-                ("executions", Report.I r.C.executions);
-                ("steps", Report.I r.C.steps);
-                ("per_s", Report.F per_s);
-                ("ok", Report.B o.S.o_ok);
-                ("pruned", Report.I r.C.pruned);
-                ("sleep", Report.I r.C.sleep_hits);
-                ("races", Report.I r.C.races);
-                ("complete", Report.I r.C.complete);
-                ("exhaustive", Report.B r.C.exhaustive);
-              ];
-          points = [];
-        })
-      outcomes
-  in
-  let workload =
-    match outcomes with
-    | o :: _ -> "checker/" ^ strategy_name o.S.o_report.C.strategy
-    | [] -> "checker"
-  in
+  let outcomes = S.run_suite ~map:Clof_exec.Exec.map entries in
   {
-    Report.version = Report.schema_version;
-    quick;
-    meta = None;
-    experiments = [ { Report.exp_id; platform = "model"; workload; series } ];
+    Report.exp_id;
+    platform = "model";
+    workload =
+      (match outcomes with
+      | o :: _ -> "checker/" ^ strategy_name o.S.o_report.C.strategy
+      | [] -> "checker");
+    series = List.map series outcomes;
   }
 
-(* Exploration statistics readback for bench_check: printed for
-   trend-watching only — the counters are budget- and wall-clock-
-   dependent, and the verdicts were gated when the report was
-   produced. *)
-let decode ~label (r : Report.t) =
-  List.iter
-    (fun (e : Report.experiment) ->
-      if e.Report.exp_id = exp_id then begin
-        Printf.printf "bench_check: %s verify statistics (%s):\n" label
-          e.Report.workload;
-        List.iter
-          (fun (s : Report.series) ->
-            let i k = Option.value ~default:0 (Report.meta_int s k) in
-            let b k = Option.value ~default:false (Report.meta_bool s k) in
-            Printf.printf
-              "  %-40s %7d execs %9d steps %-10s [%d pruned, %d sleep, %d \
-               races, %d complete%s]\n"
-              s.Report.lock (i "executions") (i "steps")
-              (if b "ok" then "ok" else "UNEXPECTED")
-              (i "pruned") (i "sleep") (i "races") (i "complete")
-              (if b "exhaustive" then ", exhaustive" else ""))
-          e.Report.series
-      end)
-    r.experiments
+let ok s = Report.meta_bool s "ok" = Some true
 
-let pp ppf outcomes =
+let gate (e : Report.experiment) =
+  List.filter_map
+    (fun (s : Report.series) -> if ok s then None else Some s.Report.lock)
+    e.Report.series
+
+(* one line per scenario, in the checker's own report format *)
+let pp ppf (e : Report.experiment) =
   Format.pp_print_string ppf
     (Render.section
        "verify: model-checked base/abort/induction steps + A4 exhibits");
   List.iter
-    (fun o ->
-      Format.fprintf ppf "%-10s %s  -> %s@."
-        (S.group_tag o.S.o_entry.S.e_group)
-        (Format.asprintf "%a" C.pp_report o.S.o_report)
-        (if o.S.o_ok then "as expected" else "UNEXPECTED"))
-    outcomes;
-  let bad = gate outcomes in
-  if bad = [] then
-    Format.fprintf ppf "verify gate: all %d scenarios as expected@."
-      (List.length outcomes)
-  else
-    Format.fprintf ppf "verify gate: %d UNEXPECTED outcome(s)@."
-      (List.length bad)
+    (fun (s : Report.series) ->
+      let i k = Option.value ~default:0 (Report.meta_int s k) in
+      let b k = Report.meta_bool s k = Some true in
+      Format.fprintf ppf
+        "%-10s %-34s %8d execs %9d steps %6.2fs %s%s%s  -> %s@."
+        (Option.value ~default:"?" (Report.meta_str s "group"))
+        s.Report.lock (i "executions") (i "steps")
+        (Option.value ~default:0.0 (Report.meta_float s "seconds"))
+        (match Report.meta_str s "violation" with
+        | None -> "ok"
+        | Some v -> "VIOLATION " ^ v)
+        (if b "truncated" then " (truncated)"
+         else if b "exhaustive" then " (exhaustive)"
+         else "")
+        (if e.Report.workload = "checker/dpor" then
+           Printf.sprintf " [dpor %d complete, %d pruned, %d races, %d sleep]"
+             (i "complete") (i "pruned") (i "races") (i "sleep")
+         else "")
+        (if ok s then "as expected" else "UNEXPECTED"))
+    e.Report.series;
+  match gate e with
+  | [] ->
+      Format.fprintf ppf "verify gate: all %d scenarios as expected@."
+        (List.length e.Report.series)
+  | bad ->
+      Format.fprintf ppf "verify gate: %d UNEXPECTED outcome(s)@."
+        (List.length bad)

@@ -3,47 +3,35 @@
     executor, with the checker's exploration statistics shipped through
     the {!Report} schema as [BENCH_verify.json].
 
-    Encoding: one series per scenario, named by the scenario (group-
-    prefixed when the name is not already), with no points — the
-    checker counters travel in the series' typed [meta] block (schema
-    v2): ["executions"], ["steps"], ["per_s"], ["pruned"], ["sleep"],
-    ["races"], ["complete"], and the ["ok"] / ["exhaustive"] verdict
-    booleans. [bench_check] decodes and prints these; they are
-    trajectory data and never gate. *)
+    Encoding: one series per scenario, named by the scenario, with no
+    points — the checker's report travels in the series' typed [meta]
+    block (schema v2): ["group"], ["executions"], ["steps"],
+    ["seconds"], ["per_s"], ["pruned"], ["sleep"], ["races"],
+    ["complete"], the ["truncated"] / ["exhaustive"] flags, the
+    ["violation"] found (absent when none) and the ["ok"] verdict. The
+    experiment's workload names the strategy (["checker/dpor"]). *)
 
-type outcome = Clof_verify.Scenarios.outcome
+val exp_id : string
+(** ["verify"]. *)
 
 val run :
   ?quick:bool ->
   ?strategy:Clof_verify.Checker.strategy ->
   ?mode:Clof_verify.Vstate.mode ->
   unit ->
-  outcome list
+  Report.experiment
 (** Check the whole suite on the default executor ([Exec.map]; [-j]
     controls parallelism). [quick] drops the depth-3 induction step;
     [strategy] forces one exploration strategy on every entry (default
     DPOR); [mode] keeps only the entries checked under that memory
     mode (the per-mode CI gates). *)
 
-val gate : outcome list -> outcome list
-(** Outcomes whose verdict did not match the scenario's expectation:
-    a violation in a scenario that must pass, or a seeded exhibit that
-    went unnoticed. Non-empty fails [clof_bench verify] (the CI
-    job). *)
+val gate : Report.experiment -> string list
+(** Names of the scenarios whose verdict did not match the scenario's
+    expectation: a violation in a scenario that must pass, or a seeded
+    exhibit that went unnoticed. Non-empty fails [clof_bench verify]
+    (the CI job); the statistics never gate. *)
 
-val exp_id : string
-(** ["verify"]. *)
-
-val join_kind : Report.join_kind
-(** {!Report.Excluded_from_join}: the counters are budget- and
-    wall-clock-dependent, and the verdicts are gated by
-    [clof_bench verify] itself. *)
-
-val to_report : ?quick:bool -> outcome list -> Report.t
-(** One [verify] experiment, series encoded as documented above. *)
-
-val decode : label:string -> Report.t -> unit
-(** Print the exploration statistics read back from a report (the
-    [bench_check] side of the channel). *)
-
-val pp : Format.formatter -> outcome list -> unit
+val pp : Format.formatter -> Report.experiment -> unit
+(** One line per scenario in {!Clof_verify.Checker.pp_report}'s format,
+    then the gate verdict. *)

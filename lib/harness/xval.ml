@@ -14,8 +14,8 @@
  * between the two backends' throughput orderings, per contention
  * level and overall on the HC selection score.
  *
- * Report encoding (BENCH_native.json, decoded by bench_check): one
- * "xval" experiment whose series are
+ * Report encoding (BENCH_native.json, printed and re-gated by
+ * bench_check): one "xval" experiment whose series are
  *   "<lock>"          native points (throughput = ops per wall us,
  *                     sim_ns = measured wall ns)
  *   "<lock>/sim"      the matching simulator points
@@ -25,7 +25,10 @@
  *                     "nlocks", "threads" (comma-separated levels),
  *                     "overall" (the coefficient on HC scores) and
  *                     "t<N>" per contention level — an undefined
- *                     coefficient (all-tied input) is an absent key
+ *                     coefficient (all-tied input) is an absent key.
+ *                     "xval/spearman" also carries the host facts
+ *                     ("ncpus", "arch", "hierarchy", "pinned") and,
+ *                     when a floor was declared, "min_corr".
  * The whole experiment is excluded from bench_check's regression join
  * (native wall clock on shared runners must never gate), mirroring
  * how the verify statistics are handled. *)
@@ -69,22 +72,6 @@ end
 module SimPanel = Panel (Clof_sim.Sim_mem)
 module NatPanel = Panel (Clof_atomics.Real_mem)
 
-type t = {
-  platform : Platform.t;  (** the host, also the simulator's machine *)
-  hierarchy : Topology.hierarchy;
-  threadcounts : int list;
-  locks : string list;
-  sim_results : (string * (int * W.result) list) list;
-  native_results : (string * (int * Native.result) list) list;
-  per_thread : (int * float option * float option) list;
-      (** (threads, spearman, kendall) across locks at one contention
-          level *)
-  overall : float option * float option;
-      (** (spearman, kendall) of the HC selection scores — the ranking
-          the paper's selection policy actually consumes *)
-  pinned : bool;
-}
-
 (* Contention levels: powers of two up to the machine, always
    including the full machine; quick mode keeps only the uncontended
    and fully-contended endpoints. *)
@@ -113,12 +100,21 @@ let native_tp results =
           pts ))
     results
 
-let series_of tps = List.map (fun (lock, points) -> { Sel.lock; points }) tps
-let sim_series t = series_of (sim_tp t.sim_results)
-let native_series t = series_of (native_tp t.native_results)
 let correlate xs ys = (Rank.spearman xs ys, Rank.kendall xs ys)
 
-let run ?(quick = false) ?duration_ms ?platform () =
+let exp_id = "xval"
+
+let native_point ~threads (r : Native.result) =
+  {
+    Report.threads;
+    throughput = r.Native.throughput;
+    total_ops = r.Native.total_ops;
+    sim_ns = r.Native.wall_ns;
+    jain = Report.jain r.Native.per_thread;
+    stats = r.Native.stats;
+  }
+
+let run ?(quick = false) ?duration_ms ?platform ?min_corr () =
   let platform =
     match platform with Some p -> p | None -> Clof_native.Hosttopo.detect ()
   in
@@ -145,12 +141,12 @@ let run ?(quick = false) ?duration_ms ?platform () =
     invalid_arg "Xval.run: backend panels disagree on lock names";
   (* simulated leg: deterministic independent jobs, fanned out on the
      default executor like every other sweep *)
-  let sim_rows =
-    Clof_exec.Exec.product_map
-      (fun spec n -> (n, W.run ~platform ~nthreads:n ~spec params))
-      specs_sim threadcounts
+  let sim_results =
+    List.combine names
+      (Clof_exec.Exec.product_map
+         (fun spec n -> (n, W.run ~platform ~nthreads:n ~spec params))
+         specs_sim threadcounts)
   in
-  let sim_results = List.combine names sim_rows in
   (* native leg: strictly sequential — each run saturates the machine,
      so overlapping two would measure executor interference *)
   let native_results =
@@ -183,65 +179,41 @@ let run ?(quick = false) ?duration_ms ?platform () =
     in
     correlate (score stp) (score ntp)
   in
-  {
-    platform;
-    hierarchy;
-    threadcounts;
-    locks = names;
-    sim_results;
-    native_results;
-    per_thread;
-    overall;
-    pinned =
-      List.for_all
-        (fun (_, pts) -> List.for_all (fun (_, r) -> r.Native.pinned) pts)
-        native_results;
-  }
-
-(* ---------- gate ---------- *)
-
-let gate ?min_corr t =
-  match min_corr with
-  | None -> []
-  | Some floor -> (
-      match fst t.overall with
-      | None ->
-          [
-            Printf.sprintf
-              "overall rank correlation undefined (all-tied scores over %d \
-               locks)"
-              (List.length t.locks);
-          ]
-      | Some rho when rho < floor ->
-          [
-            Printf.sprintf
-              "overall spearman %.3f below floor %.3f (%d locks, %d \
-               contention levels)"
-              rho floor (List.length t.locks)
-              (List.length t.threadcounts);
-          ]
-      | Some _ -> [])
-
-(* ---------- report plumbing ---------- *)
-
-let exp_id = "xval"
-
-(* native throughput is wall clock on whatever runner produced it, and
-   the correlation floor is gated by clof_bench xval --min-corr *)
-let join_kind = Report.Excluded_from_join
-
-let native_point ~threads (r : Native.result) =
-  {
-    Report.threads;
-    throughput = r.Native.throughput;
-    total_ops = r.Native.total_ops;
-    sim_ns = r.Native.wall_ns;
-    jain = Report.jain r.Native.per_thread;
-    stats = r.Native.stats;
-  }
-
-let to_report ?(quick = false) t =
-  let nlocks = List.length t.locks in
+  let pinned =
+    List.for_all
+      (fun (_, pts) -> List.for_all (fun (_, r) -> r.Native.pinned) pts)
+      native_results
+  in
+  let corr pick name extra =
+    let coef key = function Some c -> [ (key, Report.F c) ] | None -> [] in
+    {
+      Report.lock = "xval/" ^ name;
+      meta =
+        Some
+          ([
+             ("nlocks", Report.I (List.length names));
+             ( "threads",
+               Report.S
+                 (String.concat "," (List.map string_of_int threadcounts)) );
+           ]
+          @ coef "overall" (pick overall)
+          @ List.concat_map
+              (fun (n, rho, tau) ->
+                coef (Printf.sprintf "t%d" n) (pick (rho, tau)))
+              per_thread
+          @ extra);
+      points = [];
+    }
+  in
+  let host =
+    [
+      ("ncpus", Report.I ncpus);
+      ("arch", Report.S (Platform.arch_to_string platform.Platform.arch));
+      ("hierarchy", Report.S (Topology.hierarchy_to_string hierarchy));
+      ("pinned", Report.B pinned);
+    ]
+    @ match min_corr with Some f -> [ ("min_corr", Report.F f) ] | None -> []
+  in
   let native =
     List.map
       (fun (lock, pts) ->
@@ -250,7 +222,7 @@ let to_report ?(quick = false) t =
           meta = None;
           points = List.map (fun (n, r) -> native_point ~threads:n r) pts;
         })
-      t.native_results
+      native_results
   in
   let sim =
     List.map
@@ -260,128 +232,73 @@ let to_report ?(quick = false) t =
           meta = None;
           points = List.map Report.point_of_result pts;
         })
-      t.sim_results
-  in
-  let corr pick name =
-    let coef key = function
-      | Some c -> [ (key, Report.F c) ]
-      | None -> []
-    in
-    {
-      Report.lock = "xval/" ^ name;
-      meta =
-        Some
-          ([
-             ("nlocks", Report.I nlocks);
-             ( "threads",
-               Report.S
-                 (String.concat ","
-                    (List.map
-                       (fun (n, _, _) -> string_of_int n)
-                       t.per_thread)) );
-           ]
-          @ coef "overall" (pick t.overall)
-          @ List.concat_map
-              (fun (n, rho, tau) ->
-                coef (Printf.sprintf "t%d" n) (pick (rho, tau)))
-              t.per_thread);
-      points = [];
-    }
+      sim_results
   in
   {
-    Report.version = Report.schema_version;
-    quick;
-    meta = None;
-    experiments =
-      [
-        {
-          Report.exp_id;
-          platform = Topology.name t.platform.Platform.topo;
-          workload =
-            Printf.sprintf "leveldb-xval/%s%s"
-              (Topology.hierarchy_to_string t.hierarchy)
-              (if t.pinned then "" else "/unpinned");
-          series = (corr fst "spearman" :: corr snd "kendall" :: native) @ sim;
-        };
-      ];
+    Report.exp_id;
+    platform = Topology.name topo;
+    workload =
+      Printf.sprintf "leveldb-xval/%s%s"
+        (Topology.hierarchy_to_string hierarchy)
+        (if pinned then "" else "/unpinned");
+    series =
+      (corr fst "spearman" host :: corr snd "kendall" [] :: native) @ sim;
   }
 
-(* Cross-validation readback for bench_check: the coefficient meta
-   blocks plus the per-composition native-vs-sim throughput table.
-   Printed only — native numbers are wall clock on whatever runner
-   produced the report, and the correlation floor was gated when it
-   was produced. *)
-let decode ~label (r : Report.t) =
-  List.iter
-    (fun (e : Report.experiment) ->
-      if e.Report.exp_id = exp_id then begin
-        Printf.printf "bench_check: %s cross-validation (%s, %s):\n" label
-          e.Report.platform e.Report.workload;
-        let pp_coefs name =
-          match
-            List.find_opt
-              (fun (s : Report.series) -> s.Report.lock = "xval/" ^ name)
-              e.Report.series
-          with
-          | None -> ()
-          | Some s ->
-              let nlocks =
-                Option.value ~default:0 (Report.meta_int s "nlocks")
-              in
-              let coef key =
-                match Report.meta_float s key with
-                | Some c -> Printf.sprintf "%+.3f" c
-                | None -> "n/a (ties)"
-              in
-              Printf.printf
-                "  %-8s overall HC-score ordering (%d locks): %s\n" name
-                nlocks (coef "overall");
-              List.iter
-                (fun tn ->
-                  if tn <> "" then
-                    Printf.printf "  %-8s %3s threads: %s\n" name tn
-                      (coef ("t" ^ tn)))
-                (String.split_on_char ','
-                   (Option.value ~default:"" (Report.meta_str s "threads")))
-        in
-        pp_coefs "spearman";
-        pp_coefs "kendall";
-        (* per-composition backend deltas: native wall-clock ops/us
-           next to the simulator's ops per simulated us — different
-           clocks, so only the across-locks ordering means anything *)
-        List.iter
-          (fun (s : Report.series) ->
-            if
-              (not (String.starts_with ~prefix:"xval/" s.Report.lock))
-              && not (String.ends_with ~suffix:"/sim" s.Report.lock)
-            then
-              match
-                List.find_opt
-                  (fun (s' : Report.series) ->
-                    s'.Report.lock = s.Report.lock ^ "/sim")
-                  e.Report.series
-              with
-              | None -> ()
-              | Some sim ->
-                  List.iter
-                    (fun (p : Report.point) ->
-                      match
-                        List.find_opt
-                          (fun (q : Report.point) ->
-                            q.Report.threads = p.Report.threads)
-                          sim.Report.points
-                      with
-                      | None -> ()
-                      | Some q ->
-                          Printf.printf
-                            "  %-16s %3dT: native %9.4f ops/us (wall)  sim \
-                             %9.4f ops/us\n"
-                            s.Report.lock p.Report.threads
-                            p.Report.throughput q.Report.throughput)
-                    s.Report.points)
-          e.Report.series
-      end)
-    r.experiments
+(* ---------- readings ---------- *)
+
+let coefs (e : Report.experiment) name =
+  Option.get (Report.find_series e ("xval/" ^ name))
+
+let is_native (s : Report.series) =
+  not
+    (String.starts_with ~prefix:"xval/" s.Report.lock
+    || String.ends_with ~suffix:"/sim" s.Report.lock)
+
+(* the two orderings as selection series, native first *)
+let selection (e : Report.experiment) =
+  let tps (s : Report.series) =
+    List.map
+      (fun (p : Report.point) -> (p.Report.threads, p.Report.throughput))
+      s.Report.points
+  in
+  List.map
+    (fun (s : Report.series) ->
+      let sim = Report.find_series e (s.Report.lock ^ "/sim") in
+      ( { Sel.lock = s.Report.lock; points = tps s },
+        {
+          Sel.lock = s.Report.lock;
+          points = Option.fold ~none:[] ~some:tps sim;
+        } ))
+    (List.filter is_native e.Report.series)
+  |> List.split
+
+(* ---------- gate ---------- *)
+
+(* Only the overall Spearman coefficient gates, and only against a
+   floor the run declared (--min-corr). Per-thread coefficients and
+   absolute throughputs never gate. *)
+let gate e =
+  let s = coefs e "spearman" in
+  let nlocks = Option.value ~default:0 (Report.meta_int s "nlocks") in
+  match (Report.meta_float s "min_corr", Report.meta_float s "overall") with
+  | None, _ -> []
+  | Some _, None ->
+      [
+        Printf.sprintf
+          "overall rank correlation undefined (all-tied scores over %d \
+           locks)"
+          nlocks;
+      ]
+  | Some floor, Some rho when rho < floor ->
+      [
+        Printf.sprintf
+          "overall spearman %.3f below floor %.3f (%d locks, %d contention \
+           levels)"
+          rho floor nlocks
+          (List.length (Report.meta_list s "threads"));
+      ]
+  | Some _, Some _ -> []
 
 (* ---------- rendering ---------- *)
 
@@ -389,47 +306,51 @@ let pp_coef ppf = function
   | Some c -> Format.fprintf ppf "%+.3f" c
   | None -> Format.pp_print_string ppf "  n/a"
 
-let pp ppf t =
+let pp ppf (e : Report.experiment) =
+  let rho = coefs e "spearman" and tau = coefs e "kendall" in
+  let threads = List.map int_of_string (Report.meta_list rho "threads") in
   Format.pp_print_string ppf
     (Render.section "xval: simulated vs native lock ordering on this machine");
   Format.fprintf ppf "host: %s (%d CPUs, %s), hierarchy %s, threads %s, %s@."
-    (Topology.name t.platform.Platform.topo)
-    (Topology.ncpus t.platform.Platform.topo)
-    (Platform.arch_to_string t.platform.Platform.arch)
-    (Topology.hierarchy_to_string t.hierarchy)
-    (String.concat "," (List.map string_of_int t.threadcounts))
-    (if t.pinned then "threads pinned"
+    e.Report.platform
+    (Option.value ~default:0 (Report.meta_int rho "ncpus"))
+    (Option.value ~default:"?" (Report.meta_str rho "arch"))
+    (Option.value ~default:"?" (Report.meta_str rho "hierarchy"))
+    (String.concat "," (List.map string_of_int threads))
+    (if Report.meta_bool rho "pinned" = Some true then "threads pinned"
      else "threads NOT pinned (no affinity support here)");
   (* side-by-side throughputs: native is ops per wall us, sim is ops
      per simulated us — different clocks, hence rank-only *)
   let header =
     "lock"
     :: List.concat_map
-         (fun n ->
-           [ Printf.sprintf "nat/%dT" n; Printf.sprintf "sim/%dT" n ])
-         t.threadcounts
+         (fun n -> [ Printf.sprintf "nat/%dT" n; Printf.sprintf "sim/%dT" n ])
+         threads
   in
-  let ntp = native_tp t.native_results and stp = sim_tp t.sim_results in
+  let native, sim = selection e in
   let rows =
     List.map2
-      (fun (lock, nat_pts) (_, sim_pts) ->
-        ( lock,
+      (fun (nat : Sel.series) (sim : Sel.series) ->
+        ( nat.Sel.lock,
           List.concat_map
-            (fun n -> [ List.assoc n nat_pts; List.assoc n sim_pts ])
-            t.threadcounts ))
-      ntp stp
+            (fun n ->
+              [ List.assoc n nat.Sel.points; List.assoc n sim.Sel.points ])
+            threads ))
+      native sim
   in
   Format.pp_print_string ppf (Render.table ~header ~rows);
+  let coef s key = Report.meta_float s key in
   List.iter
-    (fun (n, rho, tau) ->
+    (fun n ->
+      let key = Printf.sprintf "t%d" n in
       Format.fprintf ppf "%3d threads: spearman %a  kendall %a@." n pp_coef
-        rho pp_coef tau)
-    t.per_thread;
-  let rho, tau = t.overall in
+        (coef rho key) pp_coef (coef tau key))
+    threads;
   Format.fprintf ppf "HC-score ordering (%d locks): spearman %a  kendall %a@."
-    (List.length t.locks) pp_coef rho pp_coef tau;
+    (Option.value ~default:0 (Report.meta_int rho "nlocks"))
+    pp_coef (coef rho "overall") pp_coef (coef tau "overall");
   let name_of = function Some s -> s.Sel.lock | None -> "-" in
-  let nat_best = name_of (Sel.best Sel.High_contention (native_series t))
-  and sim_best = name_of (Sel.best Sel.High_contention (sim_series t)) in
+  let nat_best = name_of (Sel.best Sel.High_contention native)
+  and sim_best = name_of (Sel.best Sel.High_contention sim) in
   Format.fprintf ppf "HC-best: native %s, simulated %s%s@." nat_best sim_best
     (if nat_best = sim_best then " (agree)" else "")

@@ -9,43 +9,40 @@
     of locks is, which is also all the paper's selection policy
     consumes. *)
 
-type t = {
-  platform : Clof_topology.Platform.t;
-      (** the host, which is also the simulated machine *)
-  hierarchy : Clof_topology.Topology.hierarchy;
-  threadcounts : int list;
-  locks : string list;  (** panel, same names on both backends *)
-  sim_results :
-    (string * (int * Clof_workloads.Workload.result) list) list;
-  native_results : (string * (int * Clof_native.Native.result) list) list;
-  per_thread : (int * float option * float option) list;
-      (** per contention level: (threads, Spearman rho, Kendall tau-b)
-          across the lock panel; [None] = undefined (ties) *)
-  overall : float option * float option;
-      (** (rho, tau) of the HC selection scores — agreement of the
-          ranking {!Clof_core.Selection} actually consumes *)
-  pinned : bool;
-      (** every native thread of every run was pinned; [false] numbers
-          still rank but carry no topology meaning *)
-}
+val exp_id : string
+(** ["xval"]. *)
 
 val run :
   ?quick:bool ->
   ?duration_ms:int ->
   ?platform:Clof_topology.Platform.t ->
+  ?min_corr:float ->
   unit ->
-  t
-(** Run both legs. [quick] (default false) shrinks the panel to the
-    seven flat locks + four fixed depth-2 compositions + HMCS, the
-    thread grid to [{1, ncpus}] and the native window to 40 ms — the CI
+  Report.experiment
+(** Run both legs and encode them as one ["xval"] experiment
+    (written to [BENCH_native.json]): native series under the lock
+    name ([sim_ns] = wall ns), simulated series under ["<lock>/sim"],
+    and pointless ["xval/spearman"] / ["xval/kendall"] series whose
+    typed [meta] blocks carry ["nlocks"], ["threads"], ["overall"]
+    and one ["t<N>"] key per contention level (an undefined
+    coefficient is an absent key); ["xval/spearman"] also carries the
+    host's ["ncpus"], ["arch"], ["hierarchy"] and ["pinned"] (every
+    native thread of every run was pinned), and ["min_corr"] when a
+    floor is declared.
+
+    [quick] (default false) shrinks the panel to the seven flat locks
+    + four fixed depth-2 compositions + HMCS, the thread grid to
+    [{1, ncpus}] and the native window to 40 ms — the CI
     configuration; the full run uses all 16 depth-2 compositions,
     power-of-two thread counts and 250 ms windows. [duration_ms]
     overrides the native measurement window. [platform] overrides host
-    detection (tests pass a small synthetic machine). The simulated leg
-    fans out on {!Clof_exec.Exec}; the native leg always runs
-    sequentially, each run owning the whole machine.
+    detection (tests pass a small synthetic machine). [min_corr]
+    declares the floor {!gate} holds the overall Spearman coefficient
+    to. The simulated leg fans out on {!Clof_exec.Exec}; the native
+    leg always runs sequentially, each run owning the whole machine.
 
-    @raise Clof_native.Native.Lock_failure on a native mutual-exclusion violation.
+    @raise Clof_native.Native.Lock_failure on a native mutual-exclusion
+    violation.
     @raise Clof_workloads.Workload.Lock_failure on a simulated hang. *)
 
 val thread_grid : quick:bool -> int -> int list
@@ -53,39 +50,12 @@ val thread_grid : quick:bool -> int -> int list
     tests): quick = the endpoints [{1, ncpus}]; full = powers of two
     plus the full machine. *)
 
-val sim_series : t -> Clof_core.Selection.series list
-val native_series : t -> Clof_core.Selection.series list
-(** The two orderings as selection series (throughput per thread
-    count), ready for {!Clof_core.Selection.rank}. *)
+val gate : Report.experiment -> string list
+(** Violation messages for CI: empty unless the archive declares a
+    ["min_corr"] floor; with one, one message when the overall
+    Spearman rho is undefined or below it. Per-thread coefficients and
+    absolute throughputs never gate. *)
 
-val gate : ?min_corr:float -> t -> string list
-(** Violation messages for CI: empty without [min_corr]; with it, one
-    message when the overall Spearman rho is undefined or below the
-    floor. Per-thread coefficients and absolute throughputs never
-    gate. *)
-
-val exp_id : string
-(** ["xval"]. *)
-
-val join_kind : Report.join_kind
-(** {!Report.Excluded_from_join}: native throughput is wall clock on
-    whatever runner produced the report, and the correlation floor is
-    gated by [clof_bench xval --min-corr] itself. *)
-
-val to_report : ?quick:bool -> t -> Report.t
-(** Encode as one ["xval"] experiment in the standard {!Report} schema
-    (written to [BENCH_native.json]): native series under the lock
-    name ([sim_ns] = wall ns), simulated series under ["<lock>/sim"],
-    and pointless ["xval/spearman"] / ["xval/kendall"] series whose
-    typed [meta] blocks carry ["nlocks"], ["threads"], ["overall"]
-    and one ["t<N>"] key per contention level (an undefined
-    coefficient is an absent key). [bench_check] decodes these and
-    excludes the whole experiment from the regression join. *)
-
-val decode : label:string -> Report.t -> unit
-(** Print the coefficients and the native-vs-sim throughput table read
-    back from a report (the [bench_check] side of the channel). *)
-
-val pp : Format.formatter -> t -> unit
+val pp : Format.formatter -> Report.experiment -> unit
 (** Side-by-side throughput table, per-level and overall coefficients,
     and whether the two backends agree on the HC-best lock. *)

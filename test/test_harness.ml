@@ -273,18 +273,15 @@ let test_registry_entries () =
   check_bool "unknown id" true (Reg.find "nope" = None)
 
 let test_registry_kinds () =
-  (* the panel's archived ids are gated; every own-gate experiment's
-     ids are not; unregistered ids default to gated so they fail the
-     cross-run join loudly *)
-  check_bool "report-x86 gated" true
-    (Reg.kind_of "report-x86" = Clof_harness.Report.Gated_series);
+  (* the panel's archived ids join; every own-gate experiment's ids do
+     not; unregistered ids join so they fail the cross-run join
+     loudly *)
+  check_bool "report-x86 joins" true (Reg.joins "report-x86");
+  check_bool "report-armv8 joins" true (Reg.joins "report-armv8");
   List.iter
-    (fun id ->
-      check_bool (id ^ " not gated") true
-        (Reg.kind_of id <> Clof_harness.Report.Gated_series))
+    (fun id -> check_bool (id ^ " does not join") false (Reg.joins id))
     [ "sim-throughput"; "verify"; "xval"; "faults"; "adapt"; "kv" ];
-  check_bool "unknown exp_id gated" true
-    (Reg.kind_of "some-future-exp" = Clof_harness.Report.Gated_series)
+  check_bool "unknown exp_id joins" true (Reg.joins "some-future-exp")
 
 let test_registry_gated_strip () =
   let exp id =
@@ -311,69 +308,133 @@ let test_registry_gated_strip () =
   in
   check_bool "only gated survives" true (kept = [ "report-x86" ])
 
-(* decode_either must prefer the current archive and fall back to the
-   baseline — and never print an experiment archived in neither *)
-let test_registry_decode_either () =
-  let kv = Clof_harness.Kvbench.run ~quick:true () in
-  let kv_report = Clof_harness.Kvbench.to_report ~quick:true kv in
-  let empty =
+(* ---------- report-native printers and gates ---------- *)
+
+module Report = Clof_harness.Report
+module Faultbench = Clof_harness.Faultbench
+
+let entry id = Option.get (Reg.find id)
+let kv_report = lazy ((entry "kv").Reg.run ~quick:true)
+
+(* One fault sweep for the whole file, in quick mode. *)
+let fault_exp = lazy (Faultbench.run ~quick:true ())
+
+let empty =
+  {
+    Report.version = Report.schema_version;
+    quick = true;
+    meta = None;
+    experiments = [];
+  }
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let archived r =
+  match Report.of_string (Report.to_string r) with
+  | Ok r -> r
+  | Error msg -> Alcotest.fail msg
+
+(* What clof_bench prints from the in-process report is exactly what
+   bench_check prints from the archive, and both gates agree. *)
+let test_archive_reprints () =
+  List.iter
+    (fun (id, r) ->
+      let e = entry id in
+      let exp = List.hd r.Report.experiments in
+      let exp' = List.hd (archived r).Report.experiments in
+      let printed x = Format.asprintf "%a" e.Reg.pp x in
+      Alcotest.(check string) (id ^ " printed identically") (printed exp)
+        (printed exp');
+      Alcotest.(check (list string))
+        (id ^ " same verdicts") (e.Reg.gate exp) (e.Reg.gate exp'))
+    [
+      ("kv", Lazy.force kv_report);
+      ("adapt", (entry "adapt").Reg.run ~quick:true);
+      ("faults", Report.of_experiment ~quick:true (Lazy.force fault_exp));
+    ]
+
+(* An archive whose numbers violate its own declared gate fails the
+   re-gate: give fair-h1's peak point the barging fastpath's sojourn
+   histogram, so the fair lock no longer beats it. *)
+let test_tampered_kv_archive () =
+  let r = archived (Lazy.force kv_report) in
+  let exp = List.hd r.Report.experiments in
+  let peak lock =
+    let s = Option.get (Report.find_series exp lock) in
+    let i =
+      let rec idx i = function
+        | l :: ls -> if l = "peak" then i else idx (i + 1) ls
+        | [] -> Alcotest.fail "no peak phase"
+      in
+      idx 0 (Report.meta_list s "phases")
+    in
+    (s, i)
+  in
+  let fp, i = peak "fp-clof<4>" in
+  let fp_hist = (List.nth fp.Report.points i).Report.stats in
+  let tampered =
     {
-      Clof_harness.Report.version = Clof_harness.Report.schema_version;
-      quick = true;
-      meta = None;
-      experiments = [];
+      exp with
+      Report.series =
+        List.map
+          (fun (s : Report.series) ->
+            if s.Report.lock <> "fair-h1" then s
+            else
+              {
+                s with
+                Report.points =
+                  List.mapi
+                    (fun j (p : Report.point) ->
+                      if j = i then { p with Report.stats = fp_hist } else p)
+                    s.Report.points;
+              })
+          exp.Report.series;
     }
   in
-  let capture f =
-    let saved = Unix.dup Unix.stdout in
-    let tmp = Filename.temp_file "reg" ".out" in
-    let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-    Unix.dup2 fd Unix.stdout;
-    Unix.close fd;
-    Fun.protect
-      ~finally:(fun () ->
-        flush stdout;
-        Unix.dup2 saved Unix.stdout;
-        Unix.close saved)
-      f;
-    In_channel.with_open_text tmp In_channel.input_all
+  check_bool "untampered archive passes" true
+    (Reg.recheck (Format.formatter_of_buffer (Buffer.create 256))
+       ~baseline:empty ~current:r
+    = []);
+  let violations =
+    Reg.recheck
+      (Format.formatter_of_buffer (Buffer.create 256))
+      ~baseline:empty
+      ~current:{ r with Report.experiments = [ tampered ] }
   in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
+  check_bool "tampered archive fails its gate" true (violations <> []);
+  check_bool "peak p99.9 rule named" true
+    (List.exists (fun v -> contains v "kv gate: peak p99.9") violations)
+
+(* recheck must prefer the current archive and fall back to the
+   baseline — and never print an experiment archived in neither *)
+let test_registry_recheck_either () =
+  let kv = Lazy.force kv_report in
+  let printed ~baseline ~current =
+    let buf = Buffer.create 1024 in
+    let ppf = Format.formatter_of_buffer buf in
+    ignore (Reg.recheck ppf ~baseline ~current);
+    Format.pp_print_flush ppf ();
+    Buffer.contents buf
   in
-  let from_baseline =
-    capture (fun () ->
-        Reg.decode_either ~baseline:kv_report ~current:empty)
-  in
+  let from_baseline = printed ~baseline:kv ~current:empty in
   check_bool "falls back to baseline" true
     (contains from_baseline "baseline kv");
-  let from_current =
-    capture (fun () ->
-        Reg.decode_either ~baseline:empty ~current:kv_report)
-  in
+  let from_current = printed ~baseline:empty ~current:kv in
   check_bool "prefers current label" true
     (contains from_current "current kv"
     && not (contains from_current "baseline"));
-  let silent =
-    capture (fun () -> Reg.decode_either ~baseline:empty ~current:empty)
-  in
-  check_bool "nothing archived, nothing printed" true (silent = "")
+  check_bool "nothing archived, nothing printed" true
+    (printed ~baseline:empty ~current:empty = "")
 
 (* ---------- fault-injection watchdog ---------- *)
 
-module Ex = Clof_harness.Experiments
-
-(* One sweep for the whole section: set_quick before the memoized
-   matrix is first forced. *)
-let fault_rows =
-  lazy
-    (Ex.set_quick true;
-     Ex.fault_matrix ())
-
-let cell row fault =
-  List.find (fun c -> c.Ex.fc_fault = fault) row.Ex.fr_cells
+let fault_rows () = (Lazy.force fault_exp).Report.series
+let flag (s : Report.series) key = Report.meta_bool s key = Some true
+let cell_class s fault = Report.meta_str s (fault ^ ".class")
+let cells s = Report.meta_list s "cells"
 
 let test_faults_text_table () =
   let s =
@@ -390,92 +451,71 @@ let test_faults_text_table () =
      in
      find 0)
 
-(* ISSUE acceptance: with no injected fault every cell is Recovered. *)
+(* With no injected fault every cell is recovered. *)
 let test_faults_baseline_recovers () =
   List.iter
-    (fun row ->
-      let c = cell row "none" in
-      Alcotest.(check string)
-        (row.Ex.fr_lock ^ "/none recovers")
-        "recovered"
-        (Ex.class_to_string c.Ex.fc_class);
-      check_bool (row.Ex.fr_lock ^ "/none not hung") false c.Ex.fc_hung)
-    (Lazy.force fault_rows)
+    (fun (s : Report.series) ->
+      Alcotest.(check (option string))
+        (s.Report.lock ^ "/none recovers")
+        (Some "recovered") (cell_class s "none");
+      check_bool (s.Report.lock ^ "/none not hung") false (flag s "none.hung"))
+    (fault_rows ())
 
-(* ISSUE acceptance: a stall injected into a queue waiter leaves every
-   abortable composition recovered — timed-out waiters re-arm and the
-   run completes with [hung = false]. *)
+(* A stall injected into a queue waiter leaves every abortable
+   composition recovered — timed-out waiters re-arm and the run
+   completes with [hung = false]. *)
 let test_faults_stall_abortable_recovers () =
-  let rows = Lazy.force fault_rows in
-  let abortables = List.filter (fun r -> r.Ex.fr_abortable) rows in
+  let abortables = List.filter (fun s -> flag s "abort") (fault_rows ()) in
   check_bool "panel has abortable compositions" true
     (List.exists
-       (fun r -> String.length r.Ex.fr_lock > 3)
+       (fun (s : Report.series) -> String.length s.Report.lock > 3)
        abortables);
   List.iter
-    (fun row ->
+    (fun (s : Report.series) ->
       List.iter
-        (fun c ->
-          if
-            String.length c.Ex.fc_fault >= 5
-            && String.sub c.Ex.fc_fault 0 5 = "stall"
-          then begin
+        (fun f ->
+          if String.starts_with ~prefix:"stall" f then begin
             check_bool
-              (row.Ex.fr_lock ^ "/" ^ c.Ex.fc_fault ^ " not wedged")
+              (s.Report.lock ^ "/" ^ f ^ " not wedged")
               true
-              (c.Ex.fc_class <> Ex.Wedged);
-            check_bool
-              (row.Ex.fr_lock ^ "/" ^ c.Ex.fc_fault ^ " not hung")
-              false c.Ex.fc_hung
+              (cell_class s f <> Some "wedged");
+            check_bool (s.Report.lock ^ "/" ^ f ^ " not hung") false
+              (flag s (f ^ ".hung"))
           end)
-        row.Ex.fr_cells)
+        (cells s))
     abortables
 
-(* ISSUE acceptance: a holder crash inside the critical section never
-   wedges a true-abort lock — the watchdog reclaims ownership through
-   the timed-acquire path and confirms the lock is serviceable again. *)
+(* A holder crash inside the critical section never wedges a
+   true-abort lock — the watchdog reclaims ownership through the
+   timed-acquire path and confirms the lock is serviceable again. *)
 let test_faults_crash_hold_recovered () =
-  let rows = Lazy.force fault_rows in
-  let abortables = List.filter (fun r -> r.Ex.fr_abortable) rows in
+  let abortables = List.filter (fun s -> flag s "abort") (fault_rows ()) in
   check_bool "panel has abortable rows" true (abortables <> []);
   List.iter
-    (fun row ->
+    (fun (s : Report.series) ->
       List.iter
-        (fun c ->
-          if
-            String.length c.Ex.fc_fault >= 10
-            && String.sub c.Ex.fc_fault 0 10 = "crash-hold"
-          then begin
-            Alcotest.(check string)
-              (row.Ex.fr_lock ^ "/" ^ c.Ex.fc_fault ^ " recovered")
-              "recovered"
-              (Ex.class_to_string c.Ex.fc_class);
+        (fun f ->
+          if String.starts_with ~prefix:"crash-hold" f then begin
+            Alcotest.(check (option string))
+              (s.Report.lock ^ "/" ^ f ^ " recovered")
+              (Some "recovered") (cell_class s f);
             check_bool
-              (row.Ex.fr_lock ^ "/" ^ c.Ex.fc_fault
-             ^ " watchdog reclaimed")
-              true (c.Ex.fc_recoveries > 0)
+              (s.Report.lock ^ "/" ^ f ^ " watchdog reclaimed")
+              true
+              (Option.value ~default:0 (Report.meta_int s (f ^ ".reclaims"))
+              > 0)
           end)
-        row.Ex.fr_cells)
+        (cells s))
     abortables
 
 let test_faults_gate_passes () =
-  check_int "no fair lock wedged by a stall" 0
-    (List.length (Ex.fault_gate (Lazy.force fault_rows)))
+  Alcotest.(check (list string))
+    "no fair lock wedged by a stall" []
+    (Faultbench.gate (Lazy.force fault_exp))
 
 let test_faults_experiment_renders () =
-  let buf = Buffer.create 256 in
-  let ppf = Format.formatter_of_buffer buf in
-  ignore (Lazy.force fault_rows);
-  check_bool "faults runs" true (Ex.run ppf "faults");
-  Format.pp_print_flush ppf ();
-  let s = Buffer.contents buf in
-  check_bool "mentions classification" true
-    (let re = "recovered" in
-     let rec find i =
-       i + String.length re <= String.length s
-       && (String.sub s i (String.length re) = re || find (i + 1))
-     in
-     find 0)
+  let s = Format.asprintf "%a" Faultbench.pp (Lazy.force fault_exp) in
+  check_bool "mentions classification" true (contains s "recovered")
 
 (* The engine's minor words per event on the two sim-throughput loops
    stay under fixed bounds. Minor-word counts are deterministic for one
@@ -484,14 +524,23 @@ let test_faults_experiment_renders () =
 let test_sim_words_per_event () =
   let bound = function "pingpong" -> 35.0 | _ -> 25.0 in
   List.iter
-    (fun (s : Clof_harness.Simbench.sample) ->
-      let b = bound s.label in
+    (fun (s : Report.series) ->
+      let b = bound s.Report.lock in
+      let w =
+        Option.value ~default:infinity
+          (Report.meta_float s "words_per_event")
+      in
+      let events =
+        List.fold_left
+          (fun a (p : Report.point) -> a + p.Report.total_ops)
+          0 s.Report.points
+      in
       check_bool
-        (Printf.sprintf "%s: %.1f minor words/event <= %.0f" s.label
-           s.words_per_event b)
+        (Printf.sprintf "%s: %.1f minor words/event <= %.0f" s.Report.lock w
+           b)
         true
-        (s.events > 0 && s.words_per_event <= b))
-    (Clof_harness.Simbench.run ~quick:true ())
+        (events > 0 && w <= b))
+    (Clof_harness.Simbench.run ~quick:true ()).Report.series
 
 let () =
   Alcotest.run "harness"
@@ -531,8 +580,12 @@ let () =
           Alcotest.test_case "registry kinds" `Quick test_registry_kinds;
           Alcotest.test_case "registry gated strip" `Quick
             test_registry_gated_strip;
-          Alcotest.test_case "registry decode either" `Slow
-            test_registry_decode_either;
+          Alcotest.test_case "registry recheck either" `Slow
+            test_registry_recheck_either;
+          Alcotest.test_case "archive reprints and regates" `Slow
+            test_archive_reprints;
+          Alcotest.test_case "tampered kv archive fails" `Slow
+            test_tampered_kv_archive;
         ] );
       ( "simbench",
         [
