@@ -1,4 +1,4 @@
-/* Native-backend clock and scheduler primitives for Real_mem.
+/* Clock and scheduler primitives (Clock, Real_mem).
  *
  * clof_monotonic_ns: CLOCK_MONOTONIC in integer nanoseconds. Real_mem
  * deadlines ([now] / [await_until] / [try_acquire]) must be monotone
@@ -7,6 +7,11 @@
  * spin, which inflates every deadline, and gettimeofday can step
  * backwards under NTP. Values fit 63-bit OCaml ints for ~292 years of
  * uptime.
+ *
+ * clof_thread_cpu_ns: CPU time consumed by the calling thread (one
+ * OCaml domain), in integer nanoseconds. The checker reports a
+ * scenario's cost with it: process CPU time would also count every
+ * other domain of a parallel suite run.
  *
  * clof_sched_yield: politely hand the core to another runnable thread.
  * Spin loops call it once every few thousand iterations so an
@@ -30,6 +35,19 @@ CAMLprim value clof_monotonic_ns(value unit)
   return Val_long((intnat)((double)now.QuadPart * 1e9 / (double)freq.QuadPart));
 }
 
+CAMLprim value clof_thread_cpu_ns(value unit)
+{
+  FILETIME created, exited, kernel, user;
+  ULARGE_INTEGER k, u;
+  GetThreadTimes(GetCurrentThread(), &created, &exited, &kernel, &user);
+  k.LowPart = kernel.dwLowDateTime;
+  k.HighPart = kernel.dwHighDateTime;
+  u.LowPart = user.dwLowDateTime;
+  u.HighPart = user.dwHighDateTime;
+  /* FILETIME counts 100 ns units */
+  return Val_long((intnat)((k.QuadPart + u.QuadPart) * 100));
+}
+
 CAMLprim value clof_sched_yield(value unit)
 {
   SwitchToThread();
@@ -48,6 +66,18 @@ CAMLprim value clof_monotonic_ns(value unit)
   clock_gettime(CLOCK_MONOTONIC, &ts);
 #else
   clock_gettime(CLOCK_REALTIME, &ts);
+#endif
+  (void)unit;
+  return Val_long((intnat)ts.tv_sec * 1000000000 + (intnat)ts.tv_nsec);
+}
+
+CAMLprim value clof_thread_cpu_ns(value unit)
+{
+  struct timespec ts;
+#if defined(CLOCK_THREAD_CPUTIME_ID)
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+#else
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
 #endif
   (void)unit;
   return Val_long((intnat)ts.tv_sec * 1000000000 + (intnat)ts.tv_nsec);

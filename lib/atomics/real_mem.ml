@@ -98,18 +98,16 @@ let barrier = Atomic.make 0
 
 let fence () = ignore (Atomic.fetch_and_add barrier 0)
 
-external monotonic_ns : unit -> int = "clof_monotonic_ns" [@@noalloc]
-
 (* Monotone wall-clock ns (CLOCK_MONOTONIC). Deadlines handed to
    [await_until] and [try_acquire] are absolute values of this clock,
    shared by all domains. *)
-let now () = monotonic_ns ()
+let now () = Clock.monotonic_ns ()
 
 let await_until ?rmw:_ r ~deadline pred =
   let rec go spins =
     let v = Atomic.get r in
     if pred v then Some v
-    else if monotonic_ns () >= deadline then None
+    else if Clock.monotonic_ns () >= deadline then None
     else begin
       if spins land (yield_every - 1) = yield_every - 1 then sched_yield ()
       else pause ();

@@ -5,7 +5,8 @@
 
    Each scenario becomes one series named by the scenario with no
    points: the checker's counters travel in the series' typed [meta]
-   block (schema v2) — group, executions, steps, processor seconds,
+   block (schema v2) — group, executions, steps (and how many of them
+   replayed a prefix), the checking domain's CPU seconds,
    executions-per-second, pruned/sleep/races/complete, the truncated
    / exhaustive flags, the violation found (absent when none) and the
    ok verdict.
@@ -31,6 +32,7 @@ let series (o : S.outcome) =
            ("group", Report.S (S.group_tag o.S.o_entry.S.e_group));
            ("executions", Report.I r.C.executions);
            ("steps", Report.I r.C.steps);
+           ("replayed", Report.I r.C.replayed);
            ("seconds", Report.F r.C.seconds);
            ( "per_s",
              Report.F
@@ -73,6 +75,9 @@ let run ?(quick = false) ?strategy ?mode () =
 
 let ok s = Report.meta_bool s "ok" = Some true
 
+(* as expected, but on a budget-truncated exploration: nothing proved *)
+let partial s = ok s && Report.meta_bool s "truncated" = Some true
+
 let gate (e : Report.experiment) =
   List.filter_map
     (fun (s : Report.series) -> if ok s then None else Some s.Report.lock)
@@ -99,15 +104,25 @@ let pp ppf (e : Report.experiment) =
          else if b "exhaustive" then " (exhaustive)"
          else "")
         (if e.Report.workload = "checker/dpor" then
-           Printf.sprintf " [dpor %d complete, %d pruned, %d races, %d sleep]"
+           Printf.sprintf " [dpor %d complete, %d pruned, %d races, %d sleep%s]"
              (i "complete") (i "pruned") (i "races") (i "sleep")
+             (* archives written before the counter existed lack it *)
+             (match Report.meta_int s "replayed" with
+             | Some n -> Printf.sprintf ", %d replayed" n
+             | None -> "")
          else "")
-        (if ok s then "as expected" else "UNEXPECTED"))
+        (if partial s then "as expected (partial)"
+         else if ok s then "as expected"
+         else "UNEXPECTED"))
     e.Report.series;
   match gate e with
   | [] ->
-      Format.fprintf ppf "verify gate: all %d scenarios as expected@."
-        (List.length e.Report.series)
+      let n = List.length e.Report.series in
+      let partial = List.length (List.filter partial e.Report.series) in
+      Format.fprintf ppf
+        "verify gate: %d as expected: %d proved, %d on a truncated \
+         exploration@."
+        n (n - partial) partial
   | bad ->
       Format.fprintf ppf "verify gate: %d UNEXPECTED outcome(s)@."
         (List.length bad)

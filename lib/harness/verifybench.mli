@@ -6,8 +6,9 @@
     Encoding: one series per scenario, named by the scenario, with no
     points — the checker's report travels in the series' typed [meta]
     block (schema v2): ["group"], ["executions"], ["steps"],
-    ["seconds"], ["per_s"], ["pruned"], ["sleep"], ["races"],
-    ["complete"], the ["truncated"] / ["exhaustive"] flags, the
+    ["replayed"] (the steps spent replaying prefixes), ["seconds"] (CPU
+    seconds of the checking domain), ["per_s"], ["pruned"], ["sleep"],
+    ["races"], ["complete"], the ["truncated"] / ["exhaustive"] flags, the
     ["violation"] found (absent when none) and the ["ok"] verdict. The
     experiment's workload names the strategy (["checker/dpor"]). *)
 
@@ -34,4 +35,6 @@ val gate : Report.experiment -> string list
 
 val pp : Format.formatter -> Report.experiment -> unit
 (** One line per scenario in {!Clof_verify.Checker.pp_report}'s format,
-    then the gate verdict. *)
+    then the gate verdict. A scenario as expected on a budget-truncated
+    exploration reads ["as expected (partial)"], and the passing
+    summary splits the count into proved and truncated scenarios. *)

@@ -12,7 +12,13 @@
    The preemption/delay bounds apply identically under both strategies:
    the enabled sets DPOR reasons about are the *affordable* sets, so
    bounded DPOR prunes relative to the bounded naive search (and, like
-   all bounded search, is exhaustive only when the bounds are off). *)
+   all bounded search, is exhaustive only when the bounds are off).
+
+   Every execution after the first re-runs the prefix it shares with an
+   earlier one. run_once replays that prefix without recording it, and
+   the DPOR analysis resumes at the divergence point from the state its
+   node kept, so an execution costs its replay plus work proportional
+   to its new suffix. *)
 
 type strategy = Naive | Dpor
 
@@ -88,6 +94,7 @@ type report = {
   strategy : strategy;
   executions : int;
   steps : int;
+  replayed : int; (* of steps: re-executed to reach a divergence point *)
   complete : int;
       (* executions that ran to quiescence: distinct full traces *)
   pruned : int;
@@ -154,10 +161,10 @@ let conflicts (a : Vstate.access) (b : Vstate.access) =
 (* One execution                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* What run_once records at each trace position for the DPOR analysis:
-   the transition executed, what it accessed, the affordable
-   alternatives (with their pending accesses), and the sleep set in
-   force when the position's state was entered. *)
+(* What run_once records at each trace position from the divergence
+   point on, for the DPOR analysis: the transition executed, what it
+   accessed, the affordable alternatives (with their pending accesses),
+   and the sleep set in force when the position's state was entered. *)
 type pos_info = {
   pi_choice : choice;
   pi_access : Vstate.access;
@@ -171,13 +178,16 @@ type pos_info = {
 type exec_result = {
   taken : choice array;
   branch : (int * choice list) list; (* naive: untried alternatives *)
-  infos : pos_info array; (* dpor: per-position record *)
+  infos : pos_info array;
+      (* dpor: one record per position from the last prefix entry on
+         (the root on a first run); the replayed prefix records none *)
   nthreads : int;
   end_pending : (choice * Vstate.access) list;
       (* transitions still pending when the run was cut by the bounds:
          they never executed, but may still race with executed events *)
   bad : (violation * string list) option;
   nsteps : int;
+  replayed : int; (* of nsteps: steps replayed before the divergence *)
   sleep_hits : int;
   complete : bool; (* ran to quiescence *)
   cut : bool; (* sleep-blocked or fairness-pruned: proves nothing *)
@@ -212,12 +222,27 @@ let pause_enabled (run : Vstate.run) (th : Vstate.thread) snap () =
 
 let pause_access = { Vstate.no_access with wakes = true }
 
+let resume (th : Vstate.thread) k =
+  Vstate.set_tid th.Vstate.tid;
+  Effect.Deep.continue k ()
+
+exception Abandoned
+
+(* A fiber still suspended when its run ends keeps its stack until it
+   is resumed or discontinued: dropping the continuation would leak it,
+   once per thread per pruned or cut execution. *)
+let abandon (th : Vstate.thread) =
+  match th.Vstate.status with
+  | Vstate.Ready (_, _, k) | Vstate.Waiting (_, _, _, k) -> (
+      th.Vstate.status <- Vstate.Finished;
+      Vstate.set_tid th.Vstate.tid;
+      (* the run's outcome is already recorded: whatever the unwinding
+         raises is moot *)
+      try Effect.Deep.discontinue k Abandoned with _ -> ())
+  | Vstate.Not_started _ | Vstate.Finished -> ()
+
 let spawn (run : Vstate.run) (th : Vstate.thread) body =
   Vstate.set_tid th.tid;
-  let resume k () =
-    Vstate.set_tid th.tid;
-    Effect.Deep.continue k ()
-  in
   Effect.Deep.match_with body ()
     {
       retc = (fun () -> th.status <- Vstate.Finished);
@@ -228,21 +253,18 @@ let spawn (run : Vstate.run) (th : Vstate.thread) body =
           | Vstate.Op (desc, access) ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  th.status <- Vstate.Ready (desc, access, resume k))
+                  th.status <- Vstate.Ready (desc, access, k))
           | Vstate.Await_op (desc, access, pred) ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  th.status <- Vstate.Waiting (desc, access, pred, resume k))
+                  th.status <- Vstate.Waiting (desc, access, pred, k))
           | Vstate.Pause_op ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
                   let snap = run.Vstate.writes in
                   th.status <-
                     Vstate.Waiting
-                      ( "pause",
-                        pause_access,
-                        pause_enabled run th snap,
-                        resume k ))
+                      ("pause", pause_access, pause_enabled run th snap, k))
           | _ -> None);
     }
 
@@ -271,7 +293,10 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
     }
   in
   Vstate.set_current (Some run);
-  let finally () = Vstate.set_current None in
+  let finally () =
+    Array.iter abandon run.Vstate.threads;
+    Vstate.set_current None
+  in
   Fun.protect ~finally @@ fun () ->
   let bodies = scenario () in
   let threads =
@@ -299,6 +324,7 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
   let cut = ref false in
   let end_pending = ref [] in
   let nsteps = ref 0 in
+  let replayed = ref 0 in
   let unbounded b = b < 0 in
   (* cost of a choice: (preemptions, delays) *)
   let cost last = function
@@ -366,16 +392,6 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
         acc := buffer_choices th !acc)
       threads;
     List.rev !acc
-  in
-  (* the pending access of a choice, straight from the thread records —
-     used when a replayed prefix choice is not in the enabled list *)
-  let pending_access = function
-    | Flush i -> flush_access threads.(i)
-    | Flush_obj (_, obj) -> { Vstate.no_access with writes = [ obj ] }
-    | Step i -> (
-        match threads.(i).Vstate.status with
-        | Vstate.Not_started _ | Vstate.Finished -> Vstate.no_access
-        | Vstate.Ready (_, a, _) | Vstate.Waiting (_, a, _, _) -> a)
   in
   (* every unfinished thread's next transition, enabled or not: when
      the bounds cut a run, these may still race with executed events
@@ -462,15 +478,35 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
             th.Vstate.status <- Vstate.Finished;
             (* placeholder; spawn sets the real status *)
             spawn run th body
-        | Vstate.Ready (_, _, resume) | Vstate.Waiting (_, _, _, resume)
-          ->
+        | Vstate.Ready (_, _, k) | Vstate.Waiting (_, _, _, k) ->
             th.Vstate.status <- Vstate.Finished;
-            resume ()
+            resume th k
         | Vstate.Finished -> assert false)
+  in
+  let next_last last = function
+    | Step i -> i
+    | Flush _ | Flush_obj _ -> last
   in
   let outcome = ref None in
   (try
-     let rec loop pos preempts delays last =
+     (* replay: a prefix is a deterministic function of its choices and
+        every one was affordable when it was recorded, so it only needs
+        executing and its cost charging — no enabled or sleep sets, no
+        record. The last prefix entry is the divergence choice: it goes
+        through the recording loop, which the analysis reads it from *)
+     let rec replay pos preempts delays last =
+       if pos >= plen - 1 then loop pos preempts delays last
+       else begin
+         let chosen = prefix.(pos) in
+         let p, d = cost last chosen in
+         (match chosen with
+         | Step _ -> incr replayed
+         | Flush _ | Flush_obj _ -> ());
+         taken := chosen :: !taken;
+         execute chosen;
+         replay (pos + 1) (preempts + p) (delays + d) (next_last last chosen)
+       end
+     and loop pos preempts delays last =
        let all = enabled () in
        if all = [] then begin
          let stuck =
@@ -557,11 +593,9 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
            match decision with
            | None -> ()
            | Some chosen ->
-               let access =
-                 match List.assoc_opt chosen all with
-                 | Some a -> a
-                 | None -> pending_access chosen
-               in
+               (* a prefix choice was affordable when recorded, so it is
+                  in [all] like a fresh one *)
+               let access = List.assoc chosen all in
                let p, d = cost last chosen in
                taken := chosen :: !taken;
                let writes_before = run.Vstate.writes in
@@ -593,16 +627,12 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
                    List.filter
                      (fun (_, sa) -> not (conflicts sa eff))
                      !sleep;
-               let last' =
-                 match chosen with
-                 | Step i -> i
-                 | Flush _ | Flush_obj _ -> last
-               in
-               loop (pos + 1) (preempts + p) (delays + d) last'
+               loop (pos + 1) (preempts + p) (delays + d)
+                 (next_last last chosen)
          end
        end
      in
-     loop 0 0 0 (-1)
+     replay 0 0 0 (-1)
    with
   | Abort_run v -> outcome := Some (v, trace_of run)
   | Prune ->
@@ -621,19 +651,26 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
     end_pending = !end_pending;
     bad = !outcome;
     nsteps = !nsteps;
+    replayed = !replayed;
     sleep_hits = !sleep_hits;
     complete = !complete;
     cut = !cut;
   }
+
+(* CPU seconds of this domain only: checks run in parallel on the
+   executor, and process CPU time would count every domain's work *)
+let seconds_since t0 =
+  float_of_int (Clof_atomics.Clock.thread_cpu_ns () - t0) *. 1e-9
 
 (* ------------------------------------------------------------------ *)
 (* Naive bounded DFS (the differential-testing oracle)                 *)
 (* ------------------------------------------------------------------ *)
 
 let naive_check config name scenario =
-  let t0 = Sys.time () in
+  let t0 = Clof_atomics.Clock.thread_cpu_ns () in
   let executions = ref 0 in
   let steps = ref 0 in
+  let replayed = ref 0 in
   let complete = ref 0 in
   let pruned = ref 0 in
   let truncated = ref false in
@@ -649,6 +686,7 @@ let naive_check config name scenario =
           incr executions;
           let r = run_once config scenario ~sleep0:[] prefix in
           steps := !steps + r.nsteps;
+          replayed := !replayed + r.replayed;
           if r.complete then incr complete;
           if r.cut then incr pruned;
           match r.bad with
@@ -674,6 +712,7 @@ let naive_check config name scenario =
     strategy = Naive;
     executions = !executions;
     steps = !steps;
+    replayed = !replayed;
     complete = !complete;
     pruned = !pruned;
     sleep_hits = 0;
@@ -681,32 +720,87 @@ let naive_check config name scenario =
     violation = !violation;
     truncated = !truncated;
     exhaustive = (not !truncated) && !violation = None;
-    seconds = Sys.time () -. t0;
+    seconds = seconds_since t0;
   }
 
 (* ------------------------------------------------------------------ *)
 (* DPOR                                                                *)
 (* ------------------------------------------------------------------ *)
 
+module Imap = Map.Make (Int)
+
+module Lane = Map.Make (struct
+  type t = int * int
+
+  let compare (a, b) (c, d) =
+    match Int.compare a c with 0 -> Int.compare b d | k -> k
+end)
+
+(* What the vector-clock pass carries from one trace position to the
+   next. Events are named by trace position (an event's clock is its
+   node's nd_vc) and the maps are persistent, so every node can keep
+   the state before its event and the analysis of the next execution
+   resumes at the divergence point instead of re-running the prefix. *)
+type astate = {
+  proc_last : int Imap.t; (* proc -> its last event *)
+  last_write : int Imap.t; (* object -> its last committing write *)
+  reads_since : int list Imap.t; (* object -> the reads since that write *)
+  last_any_write : int option; (* the wakes pseudo-object *)
+  pauses_since : int list; (* pauses no commit has retired yet *)
+  inserts : int list Lane.t;
+      (* (thread, object) -> buffered stores awaiting their flush, oldest
+         first: under TSO the whole-buffer FIFO refines to this, under
+         Relaxed it is the flush granularity *)
+}
+
+let astate0 =
+  {
+    proc_last = Imap.empty;
+    last_write = Imap.empty;
+    reads_since = Imap.empty;
+    last_any_write = None;
+    pauses_since = [];
+    inserts = Lane.empty;
+  }
+
 (* One node per position of the current exploration path. nd_enabled is
    the affordable set observed when the node's state was first reached
    (the state is a deterministic function of the choices before it, so
-   the set never changes across visits). nd_sleep is the node's live
-   sleep set: the inherited sleep-in plus every sibling choice whose
-   subtree is already fully explored. *)
+   the set never changes across visits); nd_pre, the analysis state
+   before the position, is such a function too. nd_sleep is the node's
+   live sleep set: the inherited sleep-in plus every sibling choice
+   whose subtree is already fully explored. nd_eff and nd_vc describe
+   the event of the current choice once it has been analysed. *)
 type node = {
   nd_enabled : (choice * Vstate.access) list;
+  nd_pre : astate;
   mutable nd_choice : choice;
   mutable nd_access : Vstate.access;
   mutable nd_backtrack : choice list;
   mutable nd_done : choice list;
   mutable nd_sleep : (choice * Vstate.access) list;
+  mutable nd_eff : Vstate.access;
+      (* executed (reads-from-refined) access: a step that committed
+         nothing acted as a pure read whatever it declared *)
+  mutable nd_vc : int array; (* post-join clock *)
 }
 
+(* Clock entries hold trace positions, so "event at position i by proc
+   q happens-before the clock's point" is just i <= clock_at vc q.
+   Clocks are as long as the proc count when they were made; procs
+   numbered later have no entry yet. *)
+let clock_at (vc : int array) q = if q < Array.length vc then vc.(q) else -1
+
+let join dst (src : int array) =
+  for k = 0 to Array.length src - 1 do
+    if src.(k) > dst.(k) then dst.(k) <- src.(k)
+  done
+
 let dpor_check cfg name scenario =
-  let t0 = Sys.time () in
+  let t0 = Clof_atomics.Clock.thread_cpu_ns () in
   let executions = ref 0 in
   let steps = ref 0 in
+  let replayed = ref 0 in
   let complete = ref 0 in
   let pruned = ref 0 in
   let sleep_hits = ref 0 in
@@ -732,329 +826,305 @@ let dpor_check cfg name scenario =
     incr executions;
     let r = run_once cfg scenario ~sleep0 prefix in
     steps := !steps + r.nsteps;
+    replayed := !replayed + r.replayed;
     sleep_hits := !sleep_hits + r.sleep_hits;
     if r.complete then incr complete;
     if r.cut then incr pruned;
     (match r.bad with Some v -> violation := Some v | None -> ());
     r
   in
-  let append_fresh from r =
-    for pos = from to Array.length r.infos - 1 do
-      let i = r.infos.(pos) in
-      push
-        {
-          nd_enabled = i.pi_enabled;
-          nd_choice = i.pi_choice;
-          nd_access = i.pi_access;
-          nd_backtrack = [];
-          nd_done = [ i.pi_choice ];
-          nd_sleep = i.pi_sleep;
-        }
-    done
-  in
-  (* Vector-clock pass over one recorded execution: detect races
-     (conflicting accesses not ordered by happens-before) and schedule
-     the reversal at the earlier access's node. Procs are 2*tid for the
-     thread and 2*tid+1 for its store buffer (TSO: the buffer is one
-     FIFO, so one sequential proc is exact). Under Relaxed the buffer
-     is FIFO only per location, so every (thread, object) flush lane is
-     its own proc — sharing one proc index would thread a false
-     happens-before from a flush into the next flush of an unrelated
-     location, hiding the store-store reordering from race detection
-     (a waiter woken by the second flush would look ordered after the
-     first, and the stale-read reversal would never be scheduled).
-     Clock entries hold trace positions, so "event at position i by
-     proc q happens-before proc p's current point" is just
-     i <= clock_p.(q). *)
-  let analyze (r : exec_result) =
-    let n = Array.length r.infos in
-    if n > 0 then begin
-      let flush_lane : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
-      let next_proc = ref (2 * r.nthreads) in
-      let lane i obj =
-        match Hashtbl.find_opt flush_lane (i, obj) with
+  let r0 = run_with [||] [] in
+  (* Procs are 2*tid for the thread and 2*tid+1 for its store buffer
+     (TSO: the buffer is one FIFO, so one sequential proc is exact).
+     Under Relaxed the buffer is FIFO only per location, so every
+     (thread, object) flush lane is its own proc, numbered on first
+     sight for the whole check — sharing one proc index would thread a
+     false happens-before from a flush into the next flush of an
+     unrelated location, hiding the store-store reordering from race
+     detection (a waiter woken by the second flush would look ordered
+     after the first, and the stale-read reversal would never be
+     scheduled). *)
+  let lanes : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
+  let nprocs = ref (2 * r0.nthreads) in
+  let proc = function
+    | Step i -> 2 * i
+    | Flush i -> (2 * i) + 1
+    | Flush_obj (i, obj) -> (
+        match Hashtbl.find_opt lanes (i, obj) with
         | Some p -> p
         | None ->
-            let p = !next_proc in
-            incr next_proc;
-            Hashtbl.add flush_lane (i, obj) p;
-            p
-      in
-      (* pre-scan so the clock arrays can be sized before the pass *)
-      Array.iter
-        (fun info ->
-          match info.pi_choice with
-          | Flush_obj (i, obj) -> ignore (lane i obj)
-          | Step _ | Flush _ -> ())
-        r.infos;
-      List.iter
-        (fun (c, _) ->
-          match c with
-          | Flush_obj (i, obj) -> ignore (lane i obj)
-          | Step _ | Flush _ -> ())
-        r.end_pending;
-      let nprocs = !next_proc in
-      let proc = function
-        | Step i -> 2 * i
-        | Flush i -> (2 * i) + 1
-        | Flush_obj (i, obj) -> lane i obj
-      in
-      let clocks = Array.init nprocs (fun _ -> Array.make nprocs (-1)) in
-      (* post-join clock of every trace event, for the initials scan *)
-      let evc = Array.make n [||] in
-      (* executed (reads-from-refined) access: a step that committed
-         nothing acted as a pure read whatever it declared *)
-      let eff (info : pos_info) =
-        if info.pi_wrote then info.pi_access
-        else { info.pi_access with Vstate.writes = [] }
-      in
-      let join dst (src : int array) =
-        for k = 0 to nprocs - 1 do
-          if src.(k) > dst.(k) then dst.(k) <- src.(k)
-        done
-      in
-      (* per-object: last committing write and the reads since it *)
-      let last_write : (int, int * int array) Hashtbl.t =
-        Hashtbl.create 32
-      in
-      let reads_since : (int, (int * int array) list) Hashtbl.t =
-        Hashtbl.create 32
-      in
-      let reads_of x =
-        Option.value (Hashtbl.find_opt reads_since x) ~default:[]
-      in
-      (* the wakes pseudo-object: pauses depend on every write *)
-      let last_any_write = ref None in
-      let pauses_since = ref [] in
-      (* clock snapshots of buffered stores awaiting their flush, FIFO
-         per (thread, location) — under TSO the whole-buffer FIFO
-         refines to this, under Relaxed it is the flush granularity *)
-      let insert_q : (int * int, int array Queue.t) Hashtbl.t =
-        Hashtbl.create 16
-      in
-      let insert_queue tid obj =
-        match Hashtbl.find_opt insert_q (tid, obj) with
-        | Some q -> q
-        | None ->
-            let q = Queue.create () in
-            Hashtbl.add insert_q (tid, obj) q;
-            q
-      in
-      let flushed_obj (a : Vstate.access) =
-        match a.Vstate.writes with [ obj ] -> Some obj | _ -> None
-      in
-      let candidates (a : Vstate.access) =
-        let cs = ref [] in
-        List.iter
-          (fun x ->
-            match Hashtbl.find_opt last_write x with
-            | Some (i, _) -> cs := i :: !cs
-            | None -> ())
-          a.Vstate.reads;
-        List.iter
-          (fun x ->
-            (match Hashtbl.find_opt last_write x with
-            | Some (i, _) -> cs := i :: !cs
-            | None -> ());
-            List.iter (fun (i, _) -> cs := i :: !cs) (reads_of x))
-          a.Vstate.writes;
-        if a.Vstate.wakes then begin
-          (match !last_any_write with
-          | Some (i, _) -> cs := i :: !cs
-          | None -> ());
-          (* pause-pause races: every unretired pause, not just the
-             last — reversing deep ones alone is too late for the
-             starved spinner to share the no-write window *)
-          List.iter (fun (i, _) -> cs := i :: !cs) !pauses_since
-        end;
-        if a.Vstate.writes <> [] then
-          List.iter (fun (i, _) -> cs := i :: !cs) !pauses_since;
-        List.sort_uniq compare !cs
-      in
-      (* To reverse the race between the event at position [at] and the
-         later conflicting transition [later], it is not enough to
-         schedule proc-of-[later] at node [at]: if that choice is
-         sleeping there, [later] can still depend on intermediate
-         independent events that must come first (and that the sleeping
-         subtree, rooted at an ancestor, schedules differently).  This
-         is the source-set condition of Abdulla et al. (POPL'14): let
-         v = notdep(e_at)·later — the events after [at] that do not
-         happen-after it, then the later transition itself — and add an
-         initial of v (an event no other v-event happens-before) to the
-         backtrack set.  Proc-of-[later] alone is only correct when it
-         is such an initial. *)
-      let flag at ~upto later_choice later_access =
-        if at < !plen then begin
-          let nd = node at in
-          let qi = proc r.infos.(at).pi_choice in
-          (* first v-event per proc; each is that proc's first
-             transition after [at], so its choice is affordable-at-[at]
-             shaped *)
-          let first_v = Array.make nprocs (-1) in
-          let inits = ref [] in
-          let later_dep = ref false in
-          for k = at + 1 to upto - 1 do
-            let kc = evc.(k) in
-            if kc.(qi) < at then begin
-              (* e_k ∈ v *)
-              if conflicts (eff r.infos.(k)) later_access then
-                later_dep := true;
-              let pk = proc r.infos.(k).pi_choice in
-              if first_v.(pk) < 0 then begin
-                first_v.(pk) <- k;
-                let pred = ref false in
-                for q = 0 to nprocs - 1 do
-                  if q <> pk && first_v.(q) >= 0 && first_v.(q) <= kc.(q)
-                  then pred := true
-                done;
-                if not !pred then
-                  inits := r.infos.(k).pi_choice :: !inits
-              end
-            end
+            let p = !nprocs in
+            incr nprocs;
+            Hashtbl.add lanes (i, obj) p;
+            p)
+  in
+  let vc_of i = (node i).nd_vc in
+  let flushed_obj (a : Vstate.access) =
+    match a.Vstate.writes with [ obj ] -> Some obj | _ -> None
+  in
+  let candidates st (a : Vstate.access) =
+    let cs = ref [] in
+    let last_write x =
+      match Imap.find_opt x st.last_write with
+      | Some i -> cs := i :: !cs
+      | None -> ()
+    in
+    List.iter last_write a.Vstate.reads;
+    List.iter
+      (fun x ->
+        last_write x;
+        match Imap.find_opt x st.reads_since with
+        | Some rs -> cs := rs @ !cs
+        | None -> ())
+      a.Vstate.writes;
+    if a.Vstate.wakes then begin
+      (match st.last_any_write with Some i -> cs := i :: !cs | None -> ());
+      (* pause-pause races: every unretired pause, not just the last —
+         reversing deep ones alone is too late for the starved spinner
+         to share the no-write window *)
+      cs := st.pauses_since @ !cs
+    end;
+    if a.Vstate.writes <> [] then cs := st.pauses_since @ !cs;
+    List.sort_uniq compare !cs
+  in
+  (* To reverse the race between the event at position [at] and the
+     later conflicting transition [later], it is not enough to schedule
+     proc-of-[later] at node [at]: if that choice is sleeping there,
+     [later] can still depend on intermediate independent events that
+     must come first (and that the sleeping subtree, rooted at an
+     ancestor, schedules differently).  This is the source-set condition
+     of Abdulla et al. (POPL'14): let v = notdep(e_at)·later — the
+     events after [at] that do not happen-after it, then the later
+     transition itself — and add an initial of v (an event no other
+     v-event happens-before) to the backtrack set.  Proc-of-[later]
+     alone is only correct when it is such an initial. *)
+  let initials at ~upto later_choice later_access =
+    let qi = proc (node at).nd_choice in
+    let np = !nprocs in
+    (* first v-event per proc; each is that proc's first transition
+       after [at], so its choice is affordable-at-[at] shaped *)
+    let first_v = Array.make np (-1) in
+    let inits = ref [] in
+    let later_dep = ref false in
+    for k = at + 1 to upto - 1 do
+      let ek = node k in
+      let kc = ek.nd_vc in
+      if clock_at kc qi < at then begin
+        (* e_k ∈ v *)
+        if conflicts ek.nd_eff later_access then later_dep := true;
+        let pk = proc ek.nd_choice in
+        if first_v.(pk) < 0 then begin
+          first_v.(pk) <- k;
+          let pred = ref false in
+          for q = 0 to np - 1 do
+            if q <> pk && first_v.(q) >= 0 && first_v.(q) <= clock_at kc q
+            then pred := true
           done;
-          let inits = List.rev !inits in
-          (* prefer proc-of-[later] itself when it qualifies: reversing
-             the race directly keeps the search order close to plain
-             Flanagan-Godefroid *)
-          let inits =
-            if first_v.(proc later_choice) < 0 && not !later_dep then
-              later_choice :: inits
-            else inits
-          in
-          let covered c =
-            List.mem c nd.nd_done || List.mem c nd.nd_backtrack
-          in
-          let sleeping c =
-            List.exists (fun (s, _) -> s = c) nd.nd_sleep
-          in
-          let add c =
-            nd.nd_backtrack <- c :: nd.nd_backtrack;
-            incr races
-          in
-          match
-            List.filter (fun c -> List.mem_assoc c nd.nd_enabled) inits
-          with
-          | [] ->
-              (* no initial is schedulable at [at]: conservatively try
-                 every untried alternative (the Flanagan-Godefroid
-                 else-branch) *)
-              List.iter
-                (fun (c, _) ->
-                  if not (covered c) && not (sleeping c) then add c)
-                nd.nd_enabled
-          | cands ->
-              if not (List.exists covered cands) then (
-                match List.find_opt (fun c -> not (sleeping c)) cands with
-                | Some c -> add c
-                | None ->
-                    (* every initial sleeps: the reversal is reachable
-                       from the ancestor that put them to sleep *)
-                    ())
+          if not !pred then inits := ek.nd_choice :: !inits
         end
-      in
-      let race_check (cp : int array) ~upto c a =
-        let p = proc c in
-        List.iter
-          (fun i ->
-            let qi = proc r.infos.(i).pi_choice in
-            if qi <> p && i > cp.(qi) then flag i ~upto c a)
-          (candidates a)
-      in
-      for j = 0 to n - 1 do
-        let info = r.infos.(j) in
-        let c = info.pi_choice in
-        let p = proc c in
-        let a = eff info in
-        let cp = clocks.(p) in
-        (* a flush happens after its insert: inherit that clock first *)
-        (match c with
-        | Flush i | Flush_obj (i, _) -> (
-            match flushed_obj info.pi_access with
-            | Some obj -> (
-                match Queue.take_opt (insert_queue i obj) with
-                | Some vc -> join cp vc
-                | None -> ())
-            | None -> ())
-        | Step _ -> ());
-        race_check cp ~upto:j c a;
-        (* dependence edges into this event *)
-        List.iter
-          (fun x ->
-            match Hashtbl.find_opt last_write x with
-            | Some (_, vc) -> join cp vc
-            | None -> ())
-          a.Vstate.reads;
-        List.iter
-          (fun x ->
-            (match Hashtbl.find_opt last_write x with
-            | Some (_, vc) -> join cp vc
-            | None -> ());
-            List.iter (fun (_, vc) -> join cp vc) (reads_of x))
-          a.Vstate.writes;
-        if a.Vstate.wakes then begin
-          (match !last_any_write with
-          | Some (_, vc) -> join cp vc
+      end
+    done;
+    let inits = List.rev !inits in
+    (* prefer proc-of-[later] itself when it qualifies: reversing the
+       race directly keeps the search order close to plain
+       Flanagan-Godefroid *)
+    if first_v.(proc later_choice) < 0 && not !later_dep then
+      later_choice :: inits
+    else inits
+  in
+  let flag at ~upto later_choice later_access =
+    let nd = node at in
+    let covered c = List.mem c nd.nd_done || List.mem c nd.nd_backtrack in
+    let sleeping c = List.exists (fun (s, _) -> s = c) nd.nd_sleep in
+    let add c =
+      nd.nd_backtrack <- c :: nd.nd_backtrack;
+      incr races
+    in
+    (* only an untried, awake alternative can be added: once every one
+       is covered or asleep (the common case in long spins), the scan
+       for initials cannot change anything *)
+    if List.exists (fun (c, _) -> not (covered c || sleeping c)) nd.nd_enabled
+    then
+      match
+        List.filter
+          (fun c -> List.mem_assoc c nd.nd_enabled)
+          (initials at ~upto later_choice later_access)
+      with
+      | [] ->
+          (* no initial is schedulable at [at]: conservatively try every
+             untried alternative (the Flanagan-Godefroid else-branch) *)
+          List.iter
+            (fun (c, _) -> if not (covered c) && not (sleeping c) then add c)
+            nd.nd_enabled
+      | cands ->
+          if not (List.exists covered cands) then (
+            match List.find_opt (fun c -> not (sleeping c)) cands with
+            | Some c -> add c
+            | None ->
+                (* every initial sleeps: the reversal is reachable from
+                   the ancestor that put them to sleep *)
+                ())
+  in
+  let race_check st (cp : int array) ~upto c a =
+    let p = proc c in
+    List.iter
+      (fun i ->
+        let qi = proc (node i).nd_choice in
+        if qi <> p && i > clock_at cp qi then flag i ~upto c a)
+      (candidates st a)
+  in
+  (* Vector-clock pass over the events of an execution from position
+     [from] on: detect races (conflicting accesses not ordered by
+     happens-before) and schedule the reversal at the earlier access's
+     node. r.infos.(0) is position [from] — the root, or the divergence
+     point whose node now holds the new choice. Everything before
+     [from] is the previous execution's prefix: its clocks and state
+     are on the nodes, and its race checks already ran against exactly
+     these events (nodes above the divergence keep their choice, done
+     and sleep sets, and backtrack sets only grow, so re-running those
+     checks would add nothing). *)
+  let analyze from (r : exec_result) =
+    let n = from + Array.length r.infos in
+    if n > 0 then begin
+      let st = ref (if from < !plen then (node from).nd_pre else astate0) in
+      Array.iteri
+        (fun k (info : pos_info) ->
+          let j = from + k in
+          let st0 = !st in
+          let c = info.pi_choice in
+          let a =
+            if info.pi_wrote then info.pi_access
+            else { info.pi_access with Vstate.writes = [] }
+          in
+          let nd =
+            if j < !plen then node j
+            else begin
+              push
+                {
+                  nd_enabled = info.pi_enabled;
+                  nd_pre = st0;
+                  nd_choice = c;
+                  nd_access = info.pi_access;
+                  nd_backtrack = [];
+                  nd_done = [ c ];
+                  nd_sleep = info.pi_sleep;
+                  nd_eff = a;
+                  nd_vc = [||];
+                };
+              node j
+            end
+          in
+          nd.nd_eff <- a;
+          let p = proc c in
+          let cp = Array.make !nprocs (-1) in
+          (match Imap.find_opt p st0.proc_last with
+          | Some i -> join cp (vc_of i)
           | None -> ());
-          List.iter (fun (_, vc) -> join cp vc) !pauses_since
-        end;
-        if a.Vstate.writes <> [] then
-          List.iter (fun (_, vc) -> join cp vc) !pauses_since;
-        cp.(p) <- j;
-        let vc = Array.copy cp in
-        evc.(j) <- vc;
-        List.iter
-          (fun x ->
-            Hashtbl.replace last_write x (j, vc);
-            Hashtbl.replace reads_since x [])
-          a.Vstate.writes;
-        List.iter
-          (fun x -> Hashtbl.replace reads_since x ((j, vc) :: reads_of x))
-          a.Vstate.reads;
-        if a.Vstate.writes <> [] then last_any_write := Some (j, vc);
-        (* only an actual commit wakes (and thereby retires) earlier
-           pauses; a failed CAS only declared the write *)
-        if info.pi_wrote then pauses_since := [];
-        if a.Vstate.wakes then pauses_since := (j, vc) :: !pauses_since;
-        (match c with
-        | Step i ->
-            (* a committing step drains the buffer, retiring any inserts
-               a flush will now never pop *)
-            if a.Vstate.writes <> [] then
-              Hashtbl.iter
-                (fun (t, _) q -> if t = i then Queue.clear q)
-                insert_q;
-            List.iter
-              (fun obj -> Queue.add vc (insert_queue i obj))
-              a.Vstate.inserts
-        | Flush _ | Flush_obj _ -> ())
-      done;
+          (* a flush happens after its insert: inherit that clock first *)
+          let inserts =
+            match (c, flushed_obj info.pi_access) with
+            | (Flush i | Flush_obj (i, _)), Some obj -> (
+                match Lane.find_opt (i, obj) st0.inserts with
+                | Some (ins :: rest) ->
+                    join cp (vc_of ins);
+                    Lane.add (i, obj) rest st0.inserts
+                | Some [] | None -> st0.inserts)
+            | _ -> st0.inserts
+          in
+          race_check st0 cp ~upto:j c a;
+          (* dependence edges into this event *)
+          let join_at i = join cp (vc_of i) in
+          List.iter
+            (fun x -> Option.iter join_at (Imap.find_opt x st0.last_write))
+            a.Vstate.reads;
+          List.iter
+            (fun x ->
+              Option.iter join_at (Imap.find_opt x st0.last_write);
+              Option.iter (List.iter join_at)
+                (Imap.find_opt x st0.reads_since))
+            a.Vstate.writes;
+          if a.Vstate.wakes then begin
+            Option.iter join_at st0.last_any_write;
+            List.iter join_at st0.pauses_since
+          end;
+          if a.Vstate.writes <> [] then List.iter join_at st0.pauses_since;
+          cp.(p) <- j;
+          nd.nd_vc <- cp;
+          let last_write, reads_since =
+            List.fold_left
+              (fun (lw, rs) x -> (Imap.add x j lw, Imap.add x [] rs))
+              (st0.last_write, st0.reads_since)
+              a.Vstate.writes
+          in
+          let reads_since =
+            List.fold_left
+              (fun rs x ->
+                Imap.add x
+                  (j :: Option.value (Imap.find_opt x rs) ~default:[])
+                  rs)
+              reads_since a.Vstate.reads
+          in
+          (* only an actual commit wakes (and thereby retires) earlier
+             pauses; a failed CAS only declared the write *)
+          let pauses = if info.pi_wrote then [] else st0.pauses_since in
+          let inserts =
+            match c with
+            | Step i ->
+                (* a committing step drains the buffer, retiring any
+                   inserts a flush will now never pop *)
+                let inserts =
+                  if a.Vstate.writes <> [] then
+                    Lane.filter (fun (t, _) _ -> t <> i) inserts
+                  else inserts
+                in
+                List.fold_left
+                  (fun ins obj ->
+                    Lane.update (i, obj)
+                      (fun q -> Some (Option.value q ~default:[] @ [ j ]))
+                      ins)
+                  inserts a.Vstate.inserts
+            | Flush _ | Flush_obj _ -> inserts
+          in
+          st :=
+            {
+              proc_last = Imap.add p j st0.proc_last;
+              last_write;
+              reads_since;
+              last_any_write =
+                (if a.Vstate.writes <> [] then Some j
+                 else st0.last_any_write);
+              pauses_since = (if a.Vstate.wakes then j :: pauses else pauses);
+              inserts;
+            })
+        r.infos;
       (* transitions left pending when the bounds cut the run never get
          a "next execution of their proc" to race-check from — do it
          here, against their proc's final clock *)
+      let st = !st in
       List.iter
         (fun (c, a) ->
-          let cp = clocks.(proc c) in
           let cp =
-            match c with
-            | Flush i | Flush_obj (i, _) -> (
-                match
-                  Option.bind (flushed_obj a) (fun obj ->
-                      Queue.peek_opt (insert_queue i obj))
-                with
-                | Some vc ->
-                    let cp' = Array.copy cp in
-                    join cp' vc;
-                    cp'
-                | None -> cp)
-            | Step _ -> cp
+            match Imap.find_opt (proc c) st.proc_last with
+            | Some i -> vc_of i
+            | None -> [||]
           in
-          race_check cp ~upto:n c a)
+          let cp =
+            match (c, flushed_obj a) with
+            | (Flush i | Flush_obj (i, _)), Some obj -> (
+                match Lane.find_opt (i, obj) st.inserts with
+                | Some (ins :: _) ->
+                    let cp' = Array.make !nprocs (-1) in
+                    join cp' cp;
+                    join cp' (vc_of ins);
+                    cp'
+                | Some [] | None -> cp)
+            | _ -> cp
+          in
+          race_check st cp ~upto:n c a)
         r.end_pending
     end
   in
-  let r0 = run_with [||] [] in
-  append_fresh 0 r0;
-  if !violation = None then analyze r0;
+  if !violation = None then analyze 0 r0;
   let continue = ref (!violation = None) in
   while !continue do
     if !executions >= cfg.max_executions then begin
@@ -1100,8 +1170,7 @@ let dpor_check cfg name scenario =
               nd.nd_sleep
           in
           let r = run_with prefix sleep0 in
-          append_fresh (d + 1) r;
-          if !violation = None then analyze r else continue := false
+          if !violation = None then analyze d r else continue := false
     end
   done;
   {
@@ -1109,6 +1178,7 @@ let dpor_check cfg name scenario =
     strategy = Dpor;
     executions = !executions;
     steps = !steps;
+    replayed = !replayed;
     complete = !complete;
     pruned = !pruned;
     sleep_hits = !sleep_hits;
@@ -1118,7 +1188,7 @@ let dpor_check cfg name scenario =
     (* the while loop ends by truncation, by violation, or by draining
        the backtrack frontier — only the last is completeness *)
     exhaustive = (not !truncated) && !violation = None;
-    seconds = Sys.time () -. t0;
+    seconds = seconds_since t0;
   }
 
 let check ?(config = default) ~name scenario =
@@ -1144,5 +1214,6 @@ let pp_report ppf r =
     (match r.strategy with
     | Naive -> ""
     | Dpor ->
-        Printf.sprintf " [dpor %d complete, %d pruned, %d races, %d sleep]"
-          r.complete r.pruned r.races r.sleep_hits)
+        Printf.sprintf
+          " [dpor %d complete, %d pruned, %d races, %d sleep, %d replayed]"
+          r.complete r.pruned r.races r.sleep_hits r.replayed)

@@ -6,8 +6,10 @@
     thread bodies written against {!Vmem}. The checker re-executes the
     scenario under systematically explored schedules: at every memory
     operation it chooses which thread runs next, and in TSO mode it
-    additionally explores delayed store-buffer flushes. Two strategies
-    share one execution engine:
+    additionally explores delayed store-buffer flushes. A schedule
+    replays the prefix it shares with an earlier one without recording
+    it, and only its new suffix is analysed. Two strategies share one
+    execution engine:
 
     - {!Dpor} (the default): dynamic partial-order reduction (Flanagan
       & Godefroid, POPL 2005) with sleep sets. A vector-clock
@@ -96,6 +98,11 @@ type report = {
   strategy : strategy;  (** which exploration produced this report *)
   executions : int;  (** schedules explored *)
   steps : int;  (** total visible operations executed *)
+  replayed : int;
+      (** of [steps]: the steps re-executed to reach a divergence point
+          (each schedule after the first replays the prefix it shares
+          with the path explored before it). The rest is fresh
+          exploration. *)
   complete : int;
       (** executions that ran to quiescence — the distinct
           representative traces (one per equivalence class under DPOR,
@@ -121,7 +128,9 @@ type report = {
           [truncated] — a budget-cut exploration can never claim
           completeness — and false when a violation stopped the search
           early. *)
-  seconds : float;  (** processor time spent *)
+  seconds : float;
+      (** CPU time of the domain that ran the check (not the process:
+          parallel checks on other domains are not counted) *)
 }
 
 val check :

@@ -49,10 +49,14 @@ exception Prop_violation of string
    the location breaks. *)
 type mode = Sc | Tso | Relaxed
 
+(* a thread suspended at a scheduling point: every effect above
+   returns unit *)
+type fiber = (unit, unit) Effect.Deep.continuation
+
 type status =
   | Not_started of (unit -> unit)
-  | Ready of string * access * (unit -> unit)
-  | Waiting of string * access * (unit -> bool) * (unit -> unit)
+  | Ready of string * access * fiber
+  | Waiting of string * access * (unit -> bool) * fiber
   | Finished
 
 type thread = {

@@ -545,6 +545,33 @@ let test_runaway_detection () =
   check_bool "caught" true
     (violation_kind r = "runaway" || violation_kind r = "deadlock")
 
+(* [seconds] is the checking domain's own CPU time: with another domain
+   burning CPU alongside, a check cannot report more than it took in
+   elapsed time. Process CPU time would count both domains. *)
+let test_seconds_own_domain () =
+  let stop = Atomic.make false and started = Atomic.make false in
+  let burner =
+    Domain.spawn (fun () ->
+        Atomic.set started true;
+        while not (Atomic.get stop) do
+          Domain.cpu_relax ()
+        done)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let t0 = Clof_atomics.Clock.monotonic_ns () in
+  let r = S.run (S.peterson ~fenced:false ~mode:Vstate.Tso ()) in
+  let elapsed =
+    float_of_int (Clof_atomics.Clock.monotonic_ns () - t0) *. 1e-9
+  in
+  Atomic.set stop true;
+  Domain.join burner;
+  check_bool
+    (Printf.sprintf "%.3f s of CPU within %.3f s elapsed" r.C.seconds elapsed)
+    true
+    (r.C.seconds <= elapsed +. 0.02)
+
 let () =
   Alcotest.run "verify"
     [
@@ -613,5 +640,7 @@ let () =
             test_truncation_never_exhaustive;
           Alcotest.test_case "runaway detection" `Quick
             test_runaway_detection;
+          Alcotest.test_case "seconds count the own domain" `Quick
+            test_seconds_own_domain;
         ] );
     ]
